@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import typing
 from dataclasses import asdict, dataclass
 
 from .bounds import pe_bound, uniform_theta_grid
 from .channel import FadingModel, snr_to_sigma
 from .codec import CodeParams, ConfigurationError
+from .decoder import CapacityError
 from .sim import sweep
 from .verify import run_checks
 
@@ -86,20 +89,52 @@ def fmt(x: float) -> str:
     return f"{float(x):.11e}"
 
 
+def _accepts(hint, value) -> bool:
+    """Whether a JSON config value has the type RunConfig declares."""
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    if typing.get_args(hint):                   # X | None
+        return any(_accepts(h, value) for h in typing.get_args(hint))
+    return isinstance(value, hint)
+
+
+def _read_config(path: str) -> dict:
+    try:
+        with open(path) as f:
+            file_conf = json.load(f)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(file_conf, dict):
+        raise ConfigurationError(f"config {path} must hold a JSON object")
+    unknown = set(file_conf) - set(DEFAULTS)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown config keys: {', '.join(sorted(unknown))}")
+    hints = typing.get_type_hints(RunConfig)
+    for key, value in file_conf.items():
+        if not _accepts(hints[key], value):
+            raise ConfigurationError(
+                f"config key {key!r} has the wrong type: {value!r}")
+    return file_conf
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     merged = dict(DEFAULTS)
     if getattr(args, "config", None):
-        with open(args.config) as f:
-            file_conf = json.load(f)
-        unknown = set(file_conf) - set(DEFAULTS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown config keys: {', '.join(sorted(unknown))}")
-        merged.update(file_conf)
+        merged.update(_read_config(args.config))
     for key in DEFAULTS:
         value = getattr(args, key, None)
         if value is not None and value is not False:
             merged[key] = value
+    for key, value in merged.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"{key} must be finite, got {value}")
+    if merged["workers"] < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {merged['workers']}")
     if merged["trials"] < 1:
         raise ConfigurationError(f"trials must be >= 1, got {merged['trials']}")
     if merged["seed"] < 0:
@@ -143,14 +178,14 @@ def _render(config: RunConfig, rows: list[dict]) -> str:
 
 
 def _emit(config: RunConfig, text: str) -> int:
-    if config.out is None:
-        sys.stdout.write(text)
-        return 0
     try:
-        with open(config.out, "w", newline="") as f:
-            f.write(text)
+        if config.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(config.out, "w", newline="") as f:
+                f.write(text)
     except OSError as exc:
-        print(f"error: cannot write {config.out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {config.out or 'stdout'}: {exc}", file=sys.stderr)
         return 3
     return 0
 
@@ -249,10 +284,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(config)
         return cmd_verify(config)
-    except (ConfigurationError, ValueError, OSError) as exc:
-        if isinstance(exc, OSError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+    except (ConfigurationError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -122,9 +122,8 @@ def hash_step(spine: int, seg: int, params: CodeParams, seed: int = 0) -> int:
 def hash_step_array(spines: np.ndarray, segs: np.ndarray, params: CodeParams,
                     seed: int = 0) -> np.ndarray:
     """Vectorized `hash_step` over parallel spine/segment arrays."""
-    key = _hash_key(seed)
-    h = absorb(absorb(key, spines.astype(np.uint64)), segs.astype(np.uint64))
-    return h & np.uint64(params.spine_mask)
+    return child_spines(_hash_key(seed), spines.astype(np.uint64),
+                        segs.astype(np.uint64), params)
 
 
 def spine_chain(message: Message, params: CodeParams, seed: int = 0) -> np.ndarray:
@@ -171,6 +170,32 @@ def random_message(params: CodeParams, raw_word: int) -> Message:
     return Message(value=int(raw_word) & ((1 << params.n) - 1), n=params.n)
 
 
+def code_keys(seeds) -> tuple[np.ndarray, np.ndarray]:
+    """The (hash key, symbol-stream key) pair of each code seed."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    return absorb(HASH_DOMAIN, seeds), absorb(RNG_DOMAIN, seeds)
+
+
+def child_spines(hash_keys, parents, segs, params: CodeParams) -> np.ndarray:
+    """Spines grown by folding `segs` into `parents` under `hash_keys`.
+
+    The arguments broadcast against each other.  The key-and-parent word
+    is hashed before the segment is folded in, so passing parents of shape
+    (N, 1) and all 2^k segments hashes each parent once for its children.
+    """
+    return absorb(absorb(hash_keys, parents), segs) & np.uint64(params.spine_mask)
+
+
+def symbol_rows(rng_keys, spines, params: CodeParams) -> np.ndarray:
+    """The L symbols seeded by each spine, as float64; shape spines + (L,).
+
+    `rng_keys` broadcasts against `spines`.
+    """
+    base = absorb(rng_keys, spines)
+    raw = stream_at(base[..., None], np.arange(params.L, dtype=np.uint64))
+    return (raw & np.uint64(params.symbol_mask)).astype(np.float64)
+
+
 def codebook_levels(params: CodeParams, seeds: np.ndarray) -> list[np.ndarray]:
     """Candidate symbol tables for one codebook per seed.
 
@@ -179,22 +204,13 @@ def codebook_levels(params: CodeParams, seeds: np.ndarray) -> list[np.ndarray]:
     Variant indices spell the prefix in base 2^k, most significant segment
     first, so candidate m uses variant m >> (n - (a+1)k) at level a.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    hash_keys = absorb(HASH_DOMAIN, seeds)[:, None]
-    rng_keys = absorb(RNG_DOMAIN, seeds)[:, None]
-    branches = 1 << params.k
-    segs = np.arange(branches, dtype=np.uint64)
-    mask = np.uint64(params.spine_mask)
-    ctr = np.arange(params.L, dtype=np.uint64)
-
-    spines = absorb(absorb(hash_keys, np.uint64(0)), segs[None, :]) & mask
+    hash_keys, rng_keys = code_keys(seeds)
+    hash_keys, rng_keys = hash_keys[:, None, None], rng_keys[:, None]
+    segs = np.arange(1 << params.k, dtype=np.uint64)
+    spines = np.zeros((len(hash_keys), 1), dtype=np.uint64)
     levels = []
-    for level in range(params.num_segments):
-        base = absorb(rng_keys, spines)
-        raw = stream_at(base[:, :, None], ctr[None, None, :])
-        levels.append((raw & np.uint64(params.symbol_mask)).astype(np.float64))
-        if level + 1 < params.num_segments:
-            parents = np.repeat(spines, branches, axis=1)
-            children_segs = np.tile(segs, spines.shape[1])
-            spines = absorb(absorb(hash_keys, parents), children_segs[None, :]) & mask
+    for _ in range(params.num_segments):
+        spines = child_spines(hash_keys, spines[:, :, None], segs, params)
+        spines = spines.reshape(len(spines), -1)
+        levels.append(symbol_rows(rng_keys, spines, params))
     return levels

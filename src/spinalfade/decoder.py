@@ -28,6 +28,8 @@ from .channel import ChannelRealization
 
 ML_DECODE_MAX_BITS = 24
 BRUTE_FORCE_MAX_BITS = 16
+# Absolute.  Costs at the paper's parameters reach 1e5-1e6, where one ulp
+# is about 1e-11 to 1e-10, so there this amounts to exact equality.
 TIE_TOLERANCE = 1e-12
 
 

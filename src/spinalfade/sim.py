@@ -7,6 +7,22 @@ vectorized blocks, or on several workers.  `run_trial` is the scalar
 reference path; `count_errors` is the vectorized block path that
 reproduces it draw for draw.
 
+`count_errors` does not score all 2^n candidates.  The sent message is
+known, so a trial is a frame error iff some other candidate m has
+cost(m) <= C_s + TIE_TOLERANCE, where C_s is the sent cost: that is
+exactly `run_trial`'s rule (the minimizer is not the sent message, or two
+candidates tie on the minimum).  Costs are sums of non-negative per-row
+terms added root to leaf, and adding a non-negative double never lowers
+the rounded sum, so a prefix whose partial cost already exceeds the
+threshold has no descendant within it.  The search therefore keeps a
+frontier of the prefixes still within the threshold, hashes only their
+children, and accumulates costs in the same order as `ml_decode`, which
+makes the counts bit-identical to exhaustive search.  At high SNR the
+frontier is little more than the sent path and its siblings (about 16 of
+the 340 nodes of the paper's code); when nothing can be pruned (zero
+gains) it is the whole tree, which is why blocks are sized from
+MEMORY_BUDGET for that worst case.
+
 Re-keying the codebook per trial makes the estimator target the
 ensemble-average error probability, which is the quantity the analytical
 bounds control; a single fixed codebook has its own luck and can sit a
@@ -32,11 +48,14 @@ from .channel import (
 from .codec import (
     CodeParams,
     ConfigurationError,
-    codebook_levels,
+    child_spines,
+    code_keys,
+    codebook_levels,  # noqa: F401  (looked up here by perfbench/tracing.py)
     encode,
     random_message,
+    symbol_rows,
 )
-from .decoder import TIE_TOLERANCE, ml_decode
+from .decoder import TIE_TOLERANCE, CapacityError, ml_decode
 from .mixing import (
     CODEBOOK_DOMAIN,
     SIM_DOMAIN,
@@ -49,6 +68,12 @@ from .mixing import (
 
 EARLY_STOP_BLOCK = 1_000
 DEFAULT_BATCH = 2_048
+# Bytes of tree nodes one search pass may hold, and what a node costs: a
+# fixed part plus a part per symbol pass (the symbols and their cost
+# temporaries).
+MEMORY_BUDGET = 256 << 20
+_NODE_BYTES = 80
+_NODE_ROW_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -109,6 +134,23 @@ def run_trial(params: CodeParams, model: FadingModel, sigma: float,
     return result.decoded != msg or result.tie
 
 
+def tree_bytes(params: CodeParams) -> int:
+    """Peak bytes of one trial's search when every prefix survives pruning
+    (all gains zero, or an SNR far below the code's reach)."""
+    return (1 << params.n) * (_NODE_BYTES + _NODE_ROW_BYTES * params.L)
+
+
+def trials_per_block(params: CodeParams) -> int:
+    """Trials one `count_errors` pass searches together: as many as fit
+    MEMORY_BUDGET in the worst case, whatever the channel draws."""
+    worst = tree_bytes(params)
+    if worst > MEMORY_BUDGET:
+        raise CapacityError(
+            f"one trial at n={params.n}, L={params.L} may need {worst >> 20} MiB "
+            f"for its search tree, over the {MEMORY_BUDGET >> 20} MiB budget")
+    return MEMORY_BUDGET // worst
+
+
 def count_errors(params: CodeParams, model: FadingModel, sigma: float,
                  seed: int, start: int, count: int,
                  fixed_gain: float | None = None) -> int:
@@ -117,16 +159,25 @@ def count_errors(params: CodeParams, model: FadingModel, sigma: float,
     Reproduces `run_trial` over `trial_stream(seed, t)` with code seed
     `codebook_seed(seed, t)` exactly: same counter layout (message word,
     then gain uniforms, then noise uniforms), same arithmetic, same tie
-    rule.
+    rule.  Trials are searched in blocks of `trials_per_block(params)`.
     """
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
+    block = trials_per_block(params)
+    return sum(_count_block(params, model, sigma, seed, s,
+                            min(block, start + count - s), fixed_gain)
+               for s in range(start, start + count, block))
+
+
+def _count_block(params: CodeParams, model: FadingModel, sigma: float,
+                 seed: int, start: int, count: int,
+                 fixed_gain: float | None) -> int:
     rows, L = params.num_segments, params.L
     grid_size = rows * L
     indices = np.arange(start, start + count, dtype=np.uint64)
     keys = absorb(absorb(SIM_DOMAIN, np.uint64(seed)), indices)
-    code_seeds = absorb(absorb(CODEBOOK_DOMAIN, np.uint64(seed)), indices)
-    levels = codebook_levels(params, code_seeds)
+    hash_keys, rng_keys = code_keys(
+        absorb(absorb(CODEBOOK_DOMAIN, np.uint64(seed)), indices))
 
     msgs = (stream_at(keys, np.uint64(0)) & np.uint64((1 << params.n) - 1)).astype(np.int64)
     pos = 1
@@ -144,23 +195,37 @@ def count_errors(params: CodeParams, model: FadingModel, sigma: float,
     noise = sigma * ndtri(uniforms_from_raw(stream_at(keys[:, None], ctr[None, :])))
     noise = noise.reshape(count, rows, L)
 
-    trial_idx = np.arange(count)
+    # The sent path: the received frame and the cost C_s of the sent message.
+    seg_mask = (1 << params.k) - 1
+    spine = np.zeros(count, dtype=np.uint64)
+    sent_cost = np.zeros(count)
     received = np.empty_like(noise)
     for a in range(rows):
-        variant = msgs >> (params.n - (a + 1) * params.k)
-        sent = levels[a][trial_idx, variant]
+        seg = (msgs >> (params.n - (a + 1) * params.k)) & seg_mask
+        spine = child_spines(hash_keys, spine, seg.astype(np.uint64), params)
+        sent = symbol_rows(rng_keys, spine, params)
         received[:, a, :] = gains[:, a, :] * sent + noise[:, a, :]
+        sent_cost = sent_cost + ((received[:, a, :] - gains[:, a, :] * sent) ** 2).sum(axis=1)
+    threshold = sent_cost + TIE_TOLERANCE
 
-    branches = 1 << params.k
-    total = None
+    # The frontier: every prefix whose partial cost is still <= threshold,
+    # as parallel arrays (trial, spine, prefix value, partial cost).
+    segs = np.arange(1 << params.k, dtype=np.uint64)
+    trial = np.arange(count)
+    spine = np.zeros(count, dtype=np.uint64)
+    value = np.zeros(count, dtype=np.int64)
+    cost = np.zeros(count)
     for a in range(rows):
-        partial = ((received[:, a, None, :]
-                    - gains[:, a, None, :] * levels[a]) ** 2).sum(axis=2)
-        total = partial if total is None else np.repeat(total, branches, axis=1) + partial
-    best = np.argmin(total, axis=1)
-    min_cost = total[trial_idx, best]
-    ties = (total <= min_cost[:, None] + TIE_TOLERANCE).sum(axis=1) >= 2
-    return int(np.count_nonzero((best != msgs) | ties))
+        children = child_spines(hash_keys[trial, None], spine[:, None], segs, params)
+        x = symbol_rows(rng_keys[trial, None], children, params)
+        y = received[trial, a][:, None, :]
+        h = gains[trial, a][:, None, :]
+        child_cost = cost[:, None] + ((y - h * x) ** 2).sum(axis=2)
+        parent, seg = np.nonzero(child_cost <= threshold[trial, None])
+        trial, spine = trial[parent], children[parent, seg]
+        value = (value[parent] << params.k) | seg
+        cost = child_cost[parent, seg]
+    return int(np.unique(trial[value != msgs[trial]]).size)
 
 
 def estimate_fer(params: CodeParams, model: FadingModel, sigma: float,

@@ -6,8 +6,9 @@ import json
 import time
 from contextlib import redirect_stdout
 
+import pytest
 
-from spinalfade import verify
+from spinalfade import cli, verify
 from spinalfade.cli import main
 
 SIM_ARGS = ["--n", "4", "--k", "2", "--c", "4", "--L", "2",
@@ -112,6 +113,50 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     conf.write_text(json.dumps({"modle": "rayleigh"}))
     code, _ = run_cli(["bound", "--config", str(conf)])
     assert code == 1
+
+
+def assert_one_line_error(capsys, args, code=1):
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_config_wrong_value_type_exit_one(tmp_path, capsys):
+    conf = tmp_path / "str.json"
+    conf.write_text(json.dumps({"n": "8"}))
+    assert_one_line_error(capsys, ["bound", "--config", str(conf)])
+
+
+def test_config_not_an_object_exit_one(tmp_path, capsys):
+    conf = tmp_path / "array.json"
+    conf.write_text(json.dumps([8, 2]))
+    assert_one_line_error(capsys, ["bound", "--config", str(conf)])
+
+
+def test_missing_config_exit_one(tmp_path, capsys):
+    assert_one_line_error(capsys, ["bound", "--config", str(tmp_path / "none.json")])
+
+
+def test_nan_snr_rejected(capsys):
+    assert_one_line_error(capsys, ["simulate", *SIM_ARGS, "--snr-start", "nan"])
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_rejected(capsys, workers):
+    assert_one_line_error(capsys, ["simulate", *SIM_ARGS, "--workers", workers])
+
+
+def test_search_over_memory_budget_exit_one(capsys):
+    assert_one_line_error(capsys, ["simulate", *SIM_ARGS, "--n", "24"])
+
+
+def test_program_bug_is_not_a_configuration_error(monkeypatch):
+    def broken(config):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "cmd_bound", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["bound"])
 
 
 def test_unwritable_output_exit_three(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spinalfade import (
+    CapacityError,
     CodeParams,
     ConfigurationError,
     FadingModel,
@@ -19,8 +20,19 @@ from spinalfade import (
     uniform_theta_grid,
 )
 
+from spinalfade import sim
+
 PARAMS = CodeParams(n=8, k=2, c=8, v=32, L=6)
 SMALL = CodeParams(n=4, k=2, c=4, v=32, L=2)
+
+
+def scalar_loop(params, model, sigma, seed, start, count, fixed_gain=None):
+    """Errors of the scalar reference path, trial by trial."""
+    return sum(
+        run_trial(params, model, sigma, trial_stream(seed, t),
+                  code_seed=codebook_seed(seed, t), fixed_gain=fixed_gain)
+        for t in range(start, start + count)
+    )
 
 
 def test_run_trial_noiseless_unit_gain_succeeds():
@@ -60,6 +72,45 @@ def test_batched_matches_scalar_loop(model):
         for t in range(trials)
     )
     assert count_errors(PARAMS, model, sigma, seed, 0, trials) == loop
+
+
+@pytest.mark.parametrize("params, model, snr_db, fixed_gain, start", [
+    # 30 dB: the frontier is the sent path plus its siblings
+    (PARAMS, FadingModel.rician(1.0, 1.0), 30.0, None, 0),
+    # zero gain: every candidate ties, so nothing is pruned
+    (PARAMS, FadingModel.rayleigh(1.0), 10.0, 0.0, 0),
+    # v=4: spine collisions give exact cost ties between candidates
+    (CodeParams(n=8, k=2, c=4, v=4, L=3), FadingModel.rayleigh(1.0), 12.0, None, 0),
+    (CodeParams(n=8, k=1, c=4, v=32, L=3), FadingModel.nakagami(0.5, 1.0), 6.0, None, 0),
+    (CodeParams(n=9, k=3, c=6, v=32, L=2), FadingModel.rician(0.5, 1.0), 4.0, None, 0),
+    (PARAMS, FadingModel.nakagami(2.0, 1.0), 2.0, None, 12_345),
+])
+def test_frontier_matches_scalar_loop(params, model, snr_db, fixed_gain, start):
+    sigma = snr_to_sigma(snr_db, model, params.c)
+    loop = scalar_loop(params, model, sigma, 11, start, 300, fixed_gain)
+    assert count_errors(params, model, sigma, 11, start, 300, fixed_gain) == loop
+
+
+def test_paper_batch_is_searched_in_one_block():
+    assert sim.trials_per_block(PARAMS) >= sim.DEFAULT_BATCH
+
+
+@pytest.mark.parametrize("fixed_gain, snr_db", [(0.0, 10.0), (None, 0.0)])
+def test_split_blocks_match_scalar_loop(monkeypatch, fixed_gain, snr_db):
+    # n=16 with a budget of two worst-case trials: 5 trials in 3 blocks
+    params = CodeParams(n=16, k=2, c=8, v=32, L=2)
+    monkeypatch.setattr(sim, "MEMORY_BUDGET", 2 * sim.tree_bytes(params))
+    assert sim.trials_per_block(params) == 2
+    model = FadingModel.rayleigh(1.0)
+    sigma = snr_to_sigma(snr_db, model, params.c)
+    loop = scalar_loop(params, model, sigma, 2, 3, 5, fixed_gain)
+    assert count_errors(params, model, sigma, 2, 3, 5, fixed_gain) == loop
+
+
+def test_trial_over_budget_is_capacity_error(monkeypatch):
+    monkeypatch.setattr(sim, "MEMORY_BUDGET", sim.tree_bytes(PARAMS) - 1)
+    with pytest.raises(CapacityError):
+        count_errors(PARAMS, FadingModel.rayleigh(1.0), 1.0, 0, 0, 1)
 
 
 def test_estimate_fer_noiseless_unit_gain_zero():
