@@ -4,14 +4,10 @@ closed-form frame-error bounds, and Monte Carlo verification."""
 from .bounds import (
     BoundResult,
     ThetaGrid,
-    bessel_i0_series,
     exp_moment,
     fading_integral_oracle,
     kernel,
     kernel_grid_sum,
-    kernel_nakagami,
-    kernel_rayleigh,
-    kernel_rician,
     pairwise_error_mc,
     pe_bound,
     q_craig,
@@ -23,7 +19,6 @@ from .channel import (
     ChannelRealization,
     FadingModel,
     pdf,
-    sample_gain,
     sample_gains,
     snr_to_sigma,
     symbol_energy,

@@ -1,9 +1,12 @@
 """Closed-form frame-error upper bounds and their numerical oracles.
 
-The bound machinery rests on one scalar kernel per fading family: the
-average over the fading distribution and over a uniform pair of channel
-inputs of exp(-(h*(i-j))^2 / (8 sigma^2 sin^2 theta)), raised to the number
-of symbol slots in which two candidate messages differ.  The kernel is
+The bound machinery rests on one scalar kernel: the average over the
+fading distribution and over a uniform pair of channel inputs of
+exp(-(h*(i-j))^2 / (8 sigma^2 sin^2 theta)), raised to the number of symbol
+slots in which two candidate messages differ.  Rayleigh, Nakagami-m and
+Rician fading share one kernel body; they differ only in the scale of b
+and in the fading average of an unequal pair, which `_family` supplies
+(and which `exp_moment` evaluates for a single pair).  The kernel is
 increasing in theta, so a right-endpoint sum over any partition of
 [0, pi/2] upper-bounds its integral; that sum, scaled by the number of
 competing candidates, gives the per-segment bound, and the frame bound
@@ -104,59 +107,42 @@ def _pair_profile(c: int):
     return d, w, M * 4.0 ** -c
 
 
-def _finish_kernel(inner: np.ndarray, n_sym: int, scalar: bool):
-    out = np.exp(n_sym * np.log(inner))
-    return float(out) if scalar else out
+def _family(model: FadingModel):
+    """(scale of b, weighted pair terms) of the model's fading family.
 
-
-def kernel_rayleigh(theta, sigma: float, omega: float, c: int, n_sym: int):
-    """Rayleigh kernel at theta, raised to the n_sym differing symbols.
-
-    The equal-pair term is 1 for every theta (including the 0/0 point at
-    theta = 0, by continuity), so the value at theta = 0 is 2^(-c * n_sym).
+    The three kernels differ only in the fading average of one unequal
+    pair, which is a function of frac = b / (omega d^2 + b) with
+    b = 8 * scale * sigma^2 * sin^2(theta): frac itself for Rayleigh
+    (scale 1), frac^m for Nakagami-m (scale m), and frac * exp(K frac - K)
+    for Rician (scale K + 1).  The terms are returned already multiplied
+    by the pair weights w, in that order, so every kernel value is rounded
+    exactly as the family formulas above are written.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    scalar = theta.ndim == 0
-    d, w, diag = _pair_profile(c)
-    b = 8.0 * sigma * sigma * np.sin(theta) ** 2
-    frac = b[..., None] / (omega * d * d + b[..., None])
-    inner = diag + (w * frac).sum(axis=-1)
-    return _finish_kernel(inner, n_sym, scalar)
-
-
-def kernel_nakagami(theta, sigma: float, omega: float, m: float, c: int, n_sym: int):
-    """Nakagami-m kernel; reduces to the Rayleigh kernel at m = 1."""
-    theta = np.asarray(theta, dtype=np.float64)
-    scalar = theta.ndim == 0
-    d, w, diag = _pair_profile(c)
-    b = 8.0 * m * sigma * sigma * np.sin(theta) ** 2
-    frac = b[..., None] / (omega * d * d + b[..., None])
-    inner = diag + (w * frac ** m).sum(axis=-1)
-    return _finish_kernel(inner, n_sym, scalar)
-
-
-def kernel_rician(theta, sigma: float, omega: float, K: float, c: int, n_sym: int):
-    """Rician kernel; reduces to the Rayleigh kernel at K = 0.
-
-    Equal pairs contribute exactly 1 (the exponential factor cancels), and
-    at theta = 0 the unequal-pair terms vanish despite the exp(-K) factor.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    scalar = theta.ndim == 0
-    d, w, diag = _pair_profile(c)
-    b = 8.0 * (K + 1.0) * sigma * sigma * np.sin(theta) ** 2
-    frac = b[..., None] / (omega * d * d + b[..., None])
-    inner = diag + (w * frac * np.exp(K * frac - K)).sum(axis=-1)
-    return _finish_kernel(inner, n_sym, scalar)
+    if model.kind == RAYLEIGH:
+        return 1.0, lambda w, frac: w * frac
+    if model.kind == NAKAGAMI:
+        m = model.m
+        return m, lambda w, frac: w * frac ** m
+    K = model.K
+    return K + 1.0, lambda w, frac: w * frac * np.exp(K * frac - K)
 
 
 def kernel(model: FadingModel, theta, sigma: float, c: int, n_sym: int):
-    """Kernel of the given fading model (dispatch helper)."""
-    if model.kind == RAYLEIGH:
-        return kernel_rayleigh(theta, sigma, model.omega, c, n_sym)
-    if model.kind == NAKAGAMI:
-        return kernel_nakagami(theta, sigma, model.omega, model.m, c, n_sym)
-    return kernel_rician(theta, sigma, model.omega, model.K, c, n_sym)
+    """Kernel of the given fading model at theta, raised to the n_sym
+    differing symbols; a float for scalar theta, else an array.
+
+    The equal-pair term is 1 for every theta and family (including the
+    0/0 point at theta = 0, by continuity), and at theta = 0 every
+    unequal-pair term vanishes, so the value there is 2^(-c * n_sym).
+    Nakagami at m = 1 and Rician at K = 0 reduce to Rayleigh.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    scale, pair_terms = _family(model)
+    d, w, diag = _pair_profile(c)
+    b = 8.0 * scale * sigma * sigma * np.sin(theta) ** 2
+    frac = b[..., None] / (model.omega * d * d + b[..., None])
+    out = np.exp(n_sym * np.log(diag + pair_terms(w, frac).sum(axis=-1)))
+    return float(out) if theta.ndim == 0 else out
 
 
 def kernel_grid_sum(model: FadingModel, n_sym: int, sigma: float, c: int,
@@ -231,17 +217,12 @@ def _check_theta(theta: float):
 
 def exp_moment(model: FadingModel, u: float, sigma: float, theta: float) -> float:
     """Closed-form average of exp(-(h*u)^2 / (8 sigma^2 sin^2 theta)) over
-    the fading gain h (the per-pair factor inside each kernel)."""
+    the fading gain h: the per-pair factor inside `kernel`, from the same
+    family switch."""
     _check_theta(theta)
-    b = 8.0 * sigma * sigma * math.sin(theta) ** 2
-    if model.kind == RAYLEIGH:
-        return b / (model.omega * u * u + b)
-    if model.kind == NAKAGAMI:
-        m = model.m
-        return (m * b / (model.omega * u * u + m * b)) ** m
-    K = model.K
-    frac = (K + 1.0) * b / (model.omega * u * u + (K + 1.0) * b)
-    return frac * math.exp(K * frac - K)
+    scale, pair_terms = _family(model)
+    b = 8.0 * scale * sigma * sigma * math.sin(theta) ** 2
+    return float(pair_terms(1.0, b / (model.omega * u * u + b)))
 
 
 def fading_integral_oracle(model: FadingModel, u: float, sigma: float,
@@ -290,19 +271,3 @@ def pairwise_error_mc(v_vector, sigma: float, trials: int,
         hits += int(np.count_nonzero(vnorm2 + 2.0 * (noise @ v) <= 0.0))
         done += block
     return hits / trials
-
-
-def bessel_i0_series(x: float, rel_tol: float = 1e-16) -> float:
-    """Modified Bessel I0 by its power series, truncated when a term drops
-    below rel_tol of the running sum.  Cross-check helper for moderate x;
-    the channel density uses the scaled scipy routine for range safety."""
-    q = x * x / 4.0
-    term = 1.0
-    total = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * k)
-        total += term
-        if term < rel_tol * total:
-            return total

@@ -116,11 +116,6 @@ def sample_gains(model: FadingModel, count: int, rand: CounterStream) -> np.ndar
     return gains_from_uniforms(model, u)
 
 
-def sample_gain(model: FadingModel, rand: CounterStream) -> float:
-    """Draw a single fading gain."""
-    return float(sample_gains(model, 1, rand)[0])
-
-
 def pdf(model: FadingModel, h) -> np.ndarray:
     """Density of the fading gain at h >= 0.
 

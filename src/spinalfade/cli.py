@@ -1,10 +1,10 @@
 """Command-line front end: bound evaluation, Monte Carlo sweeps, self-checks.
 
-Exit codes: 0 success, 1 invalid configuration, 2 failed self-check,
-3 output I/O failure.  Output is deterministic given (config, seed):
-numbers are serialized in scientific notation with 12 significant digits,
-and the JSON document carries the same values as the CSV plus the
-per-segment bound vector.
+Exit codes: 0 success, 1 invalid configuration (a bad flag, config file
+or value), 2 failed self-check, 3 output I/O failure.  Output is
+deterministic given (config, seed): numbers are serialized in scientific
+notation with 12 significant digits, and the JSON document carries the
+same values as the CSV plus the per-segment bound vector.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .bounds import pe_bound, uniform_theta_grid
 from .channel import FadingModel, snr_to_sigma
@@ -26,39 +26,33 @@ from .verify import run_checks
 CSV_HEADER = ("model,n,k,c,v,L,N,snr_db,sigma,trials,errors,"
               "fer,fer_stderr,pe_bound")
 
-DEFAULTS = dict(
-    model="rayleigh", omega=1.0, m=2.0, K=0.5,
-    n=8, k=2, c=8, v=32, L=6,
-    snr_start=0.0, snr_stop=30.0, snr_step=2.0,
-    trials=100_000, theta_points=20, seed=0,
-    out=None, format="csv", workers=1,
-    early_stop=None, min_trials=0, quick=False,
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    model: str
-    omega: float
-    m: float
-    K: float
-    n: int
-    k: int
-    c: int
-    v: int
-    L: int
-    snr_start: float
-    snr_stop: float
-    snr_step: float
-    trials: int
-    theta_points: int
-    seed: int
-    out: str | None
-    format: str
-    workers: int
-    early_stop: int | None
-    min_trials: int
-    quick: bool
+    """One run's settings.  The defaults are the CLI's; every field is also
+    a config-file key and a flag of the same name."""
+
+    model: str = "rayleigh"
+    omega: float = 1.0
+    m: float = 2.0
+    K: float = 0.5
+    n: int = 8
+    k: int = 2
+    c: int = 8
+    v: int = 32
+    L: int = 6
+    snr_start: float = 0.0
+    snr_stop: float = 30.0
+    snr_step: float = 2.0
+    trials: int = 100_000
+    theta_points: int = 20
+    seed: int = 0
+    out: str | None = None
+    format: str = "csv"
+    workers: int = 1
+    early_stop: int | None = None
+    min_trials: int = 0
+    quick: bool = False
 
     def code_params(self) -> CodeParams:
         return CodeParams(n=self.n, k=self.k, c=self.c, v=self.v, L=self.L)
@@ -110,7 +104,7 @@ def _read_config(path: str) -> dict:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(file_conf, dict):
         raise ConfigurationError(f"config {path} must hold a JSON object")
-    unknown = set(file_conf) - set(DEFAULTS)
+    unknown = set(file_conf) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigurationError(
             f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -123,10 +117,10 @@ def _read_config(path: str) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(DEFAULTS)
+    merged = {f.name: f.default for f in fields(RunConfig)}
     if getattr(args, "config", None):
         merged.update(_read_config(args.config))
-    for key in DEFAULTS:
+    for key in merged:
         value = getattr(args, key, None)
         if value is not None and value is not False:
             merged[key] = value
@@ -234,8 +228,15 @@ def cmd_verify(config: RunConfig) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a configuration error: one line, exit 1."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinalfade",
         description="Spinal-code FER bounds and Monte Carlo sweeps over "
                     "fading channels.")
@@ -276,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _merge_config(args)
         if args.command == "bound":
             return cmd_bound(config)

@@ -119,13 +119,6 @@ def hash_step(spine: int, seg: int, params: CodeParams, seed: int = 0) -> int:
     return int(h) & params.spine_mask
 
 
-def hash_step_array(spines: np.ndarray, segs: np.ndarray, params: CodeParams,
-                    seed: int = 0) -> np.ndarray:
-    """Vectorized `hash_step` over parallel spine/segment arrays."""
-    return child_spines(_hash_key(seed), spines.astype(np.uint64),
-                        segs.astype(np.uint64), params)
-
-
 def spine_chain(message: Message, params: CodeParams, seed: int = 0) -> np.ndarray:
     """The n/k spine values of a message; spine i depends on segments 1..i."""
     segs = segment(message, params)
@@ -146,15 +139,6 @@ def rng_symbols(spine: int, count: int, params: CodeParams, seed: int = 0) -> np
     return (raw & np.uint64(params.symbol_mask)).astype(np.int64)
 
 
-def rng_symbols_for_spines(spines: np.ndarray, count: int, params: CodeParams,
-                           seed: int = 0) -> np.ndarray:
-    """Symbol rows for many spines at once; shape (len(spines), count)."""
-    base = absorb(_rng_key(seed), spines.astype(np.uint64))
-    ctr = np.arange(count, dtype=np.uint64)
-    raw = stream_at(base[:, None], ctr[None, :])
-    return (raw & np.uint64(params.symbol_mask)).astype(np.int64)
-
-
 def encode(message: Message, params: CodeParams, seed: int = 0) -> np.ndarray:
     """Encode a message into its (n/k) x L symbol matrix.
 
@@ -162,7 +146,7 @@ def encode(message: Message, params: CodeParams, seed: int = 0) -> np.ndarray:
     produce identical rows 1..j.
     """
     spines = spine_chain(message, params, seed)
-    return rng_symbols_for_spines(spines, params.L, params, seed)
+    return symbol_rows(_rng_key(seed), spines, params).astype(np.int64)
 
 
 def random_message(params: CodeParams, raw_word: int) -> Message:

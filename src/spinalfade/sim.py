@@ -237,38 +237,37 @@ def estimate_fer(params: CodeParams, model: FadingModel, sigma: float,
     """Aggregate `trials` independent trials under the given run seed.
 
     The result depends only on (seed, trials) and the early-stop settings,
-    never on `workers` or `batch`.  With `early_stop_errors` set, the point
-    halts at the first 1000-trial checkpoint where at least that many
-    errors have accumulated and at least `min_trials` have run; checkpoints
-    are fixed so early-stopped results are reproducible too.
+    never on `workers` or `batch`.  Trials run in checkpoints: all of them
+    at once, or, with `early_stop_errors` set, fixed 1000-trial checkpoints
+    after each of which the point halts once at least that many errors
+    have accumulated and at least `min_trials` have run (fixed checkpoints
+    keep early-stopped results reproducible).  Each checkpoint is split
+    into `count_errors` jobs of at most `batch` trials, at least one per
+    worker where it has the trials, and run on `workers` threads.
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    if workers < 1 or batch < 1:
+        raise ConfigurationError(
+            f"workers and batch must be >= 1, got {workers} and {batch}")
+    step = trials if early_stop_errors is None else EARLY_STOP_BLOCK
 
-    if early_stop_errors is not None:
-        errors = 0
-        done = 0
+    def job(span):
+        return count_errors(params, model, sigma, seed, *span, fixed_gain)
+
+    errors = 0
+    done = 0
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         while done < trials:
-            block = min(EARLY_STOP_BLOCK, trials - done)
-            errors += count_errors(params, model, sigma, seed, done, block,
-                                   fixed_gain)
-            done += block
-            if errors >= early_stop_errors and done >= min_trials:
+            end = min(done + step, trials)
+            size = min(batch, (end - done + workers - 1) // workers)
+            spans = [(s, min(size, end - s)) for s in range(done, end, size)]
+            errors += sum(pool.map(job, spans))
+            done = end
+            if (early_stop_errors is not None and errors >= early_stop_errors
+                    and done >= min_trials):
                 break
-        return FerEstimate(trials=done, errors=errors)
-
-    jobs = [(s, min(batch, trials - s)) for s in range(0, trials, batch)]
-    if workers <= 1:
-        errors = sum(count_errors(params, model, sigma, seed, s, b, fixed_gain)
-                     for s, b in jobs)
-    else:
-        def job(args):
-            s, b = args
-            return count_errors(params, model, sigma, seed, s, b, fixed_gain)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            errors = sum(pool.map(job, jobs))
-    return FerEstimate(trials=trials, errors=errors)
+    return FerEstimate(trials=done, errors=errors)
 
 
 def sweep(params: CodeParams, model: FadingModel, snr_grid, trials: int,

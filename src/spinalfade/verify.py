@@ -1,9 +1,11 @@
 """Self-check suite: closed forms against their independent oracles.
 
 Each check returns the observed worst deviation and the tolerance it must
-stay within, so the CLI can print one table row per check.  Kernels are
-looked up through module attributes on purpose: tests inject faults by
-rebinding them here and asserting that the right check trips.
+stay within, so the CLI can print one table row per check.  Every check
+evaluates the kernel through `kernel(model, ...)`, the one body shared by
+all three fading families, and looks it up through this module's
+attribute on purpose: tests inject faults by rebinding `verify.kernel`
+and asserting that the right check trips.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from scipy.integrate import quad
 from .bounds import (
     exp_moment,
     fading_integral_oracle,
-    kernel_nakagami,
-    kernel_rayleigh,
-    kernel_rician,
+    kernel,
     pairwise_error_mc,
     q_craig,
     uniform_theta_grid,
@@ -105,13 +105,7 @@ def check_kernel_vs_quadrature(quick: bool = False, seed: int = 2) -> CheckResul
             wt * fading_integral_oracle(model, float(dv), sigma, theta)
             for dv, wt in zip(d, w)
         )
-        if model.kind == "rayleigh":
-            k = kernel_rayleigh(theta, sigma, model.omega, c, 1)
-        elif model.kind == "nakagami":
-            k = kernel_nakagami(theta, sigma, model.omega, model.m, c, 1)
-        else:
-            k = kernel_rician(theta, sigma, model.omega, model.K, c, 1)
-        worst = max(worst, abs(k - total))
+        worst = max(worst, abs(kernel(model, theta, sigma, c, 1) - total))
     return CheckResult("kernel-vs-quadrature", worst, 1e-8)
 
 
@@ -126,9 +120,9 @@ def check_reduction_identities(quick: bool = False, seed: int = 3) -> CheckResul
         omega = float(rng.uniform(0.25, 4.0))
         c = int(rng.integers(1, 9))
         n_sym = int(rng.integers(1, 25))
-        ray = kernel_rayleigh(theta, sigma, omega, c, n_sym)
-        nak = kernel_nakagami(theta, sigma, omega, 1.0, c, n_sym)
-        ric = kernel_rician(theta, sigma, omega, 0.0, c, n_sym)
+        ray = kernel(FadingModel.rayleigh(omega), theta, sigma, c, n_sym)
+        nak = kernel(FadingModel.nakagami(1.0, omega), theta, sigma, c, n_sym)
+        ric = kernel(FadingModel.rician(0.0, omega), theta, sigma, c, n_sym)
         worst = max(worst,
                     float(np.max(np.abs(nak - ray) / ray)),
                     float(np.max(np.abs(ric - ray) / ray)))
@@ -150,16 +144,8 @@ def check_theta_monotonicity(quick: bool = False, seed: int = 4) -> CheckResult:
         sigma = float(rng.uniform(0.1, 10.0))
         c = int(rng.integers(1, 9))
         n_sym = int(rng.integers(1, 25))
-        if model.kind == "rayleigh":
-            vals = kernel_rayleigh(theta, sigma, model.omega, c, n_sym)
-            kern = lambda t: kernel_rayleigh(t, sigma, model.omega, c, n_sym)
-        elif model.kind == "nakagami":
-            vals = kernel_nakagami(theta, sigma, model.omega, model.m, c, n_sym)
-            kern = lambda t: kernel_nakagami(t, sigma, model.omega, model.m, c, n_sym)
-        else:
-            vals = kernel_rician(theta, sigma, model.omega, model.K, c, n_sym)
-            kern = lambda t: kernel_rician(t, sigma, model.omega, model.K, c, n_sym)
-        worst = max(worst, float(-np.min(np.diff(vals))))
+        kern = lambda t: kernel(model, t, sigma, c, n_sym)
+        worst = max(worst, float(-np.min(np.diff(kern(theta)))))
         integral = quad(kern, 0.0, math.pi / 2, limit=100)[0] / math.pi
         grid_sum = float((grid.weights * kern(grid.thetas[1:])).sum())
         worst = max(worst, integral - grid_sum)

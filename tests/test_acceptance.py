@@ -20,13 +20,8 @@ from spinalfade import (
     Message,
     brute_force_decode,
     encode,
-    exp_moment,
-    fading_integral_oracle,
     kernel,
     kernel_grid_sum,
-    kernel_nakagami,
-    kernel_rayleigh,
-    kernel_rician,
     ml_decode,
     pairwise_error_mc,
     q_craig,
@@ -34,6 +29,7 @@ from spinalfade import (
     transmit,
     uniform_theta_grid,
 )
+from spinalfade import verify
 from spinalfade.cli import main
 from test_codec import collision_count
 
@@ -107,27 +103,12 @@ def test_criterion_2_rician_ordering(paper_sweeps):
 
 
 def test_criterion_3_closed_form_integrals():
-    rng = np.random.default_rng(2024)
     start = time.perf_counter()
-    worst = 0.0
-    for i in range(200):
-        omega = float(rng.uniform(0.25, 4.0))
-        if i % 3 == 0:
-            model = FadingModel.rayleigh(omega)
-        elif i % 3 == 1:
-            model = FadingModel.nakagami(float(rng.uniform(0.5, 4.0)), omega)
-        else:
-            model = FadingModel.rician(float(rng.uniform(0.0, 4.0)), omega)
-        u = float(rng.uniform(0.0, 10.0))
-        sigma = float(rng.uniform(0.1, 10.0))
-        theta = float(rng.uniform(0.05, math.pi / 2))
-        diff = abs(exp_moment(model, u, sigma, theta)
-                   - fading_integral_oracle(model, u, sigma, theta))
-        worst = max(worst, diff)
+    check = verify.check_fading_integrals(quick=False, seed=2024)
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-8 and elapsed < 60.0
+    ok = check.passed and check.tolerance == 1e-8 and elapsed < 60.0
     report(3, "closed-form integral oracles", ok,
-           f"200 draws; worst |closed - quadrature| = {worst:.2e} <= 1e-8; "
+           f"200 draws; worst |closed - quadrature| = {check.observed:.2e} <= 1e-8; "
            f"runtime {elapsed:.1f}s < 60s")
 
 
@@ -163,9 +144,9 @@ def test_criterion_5_reduction_identities():
         omega = float(rng.uniform(0.25, 4.0))
         c = int(rng.integers(1, 9))
         n_sym = int(rng.integers(1, 25))
-        ray = kernel_rayleigh(theta, sigma, omega, c, n_sym)
-        nak = kernel_nakagami(theta, sigma, omega, 1.0, c, n_sym)
-        ric = kernel_rician(theta, sigma, omega, 0.0, c, n_sym)
+        ray = kernel(FadingModel.rayleigh(omega), theta, sigma, c, n_sym)
+        nak = kernel(FadingModel.nakagami(1.0, omega), theta, sigma, c, n_sym)
+        ric = kernel(FadingModel.rician(0.0, omega), theta, sigma, c, n_sym)
         worst = max(worst,
                     float(np.max(np.abs(nak - ray) / ray)),
                     float(np.max(np.abs(ric - ray) / ray)))
@@ -188,9 +169,9 @@ def test_criterion_6_monotonicity_and_over_approximation():
         n_sym = int(rng.integers(1, 25))
         m = float(rng.uniform(0.5, 4.0))
         K = float(rng.uniform(0.0, 4.0))
-        for vals in (kernel_rayleigh(theta, sigma, omega, c, n_sym),
-                     kernel_nakagami(theta, sigma, omega, m, c, n_sym),
-                     kernel_rician(theta, sigma, omega, K, c, n_sym)):
+        for family in (FadingModel.rayleigh(omega), FadingModel.nakagami(m, omega),
+                       FadingModel.rician(K, omega)):
+            vals = kernel(family, theta, sigma, c, n_sym)
             worst_step = max(worst_step, float(-np.min(np.diff(vals))))
         if i % 3 == 0:
             model = FadingModel.rayleigh(omega)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erfc, i0
+from scipy.special import erfc
 
 from spinalfade import (
     BoundResult,
@@ -15,14 +15,10 @@ from spinalfade import (
     CounterStream,
     FadingModel,
     ThetaGrid,
-    bessel_i0_series,
     exp_moment,
     fading_integral_oracle,
     kernel,
     kernel_grid_sum,
-    kernel_nakagami,
-    kernel_rayleigh,
-    kernel_rician,
     pairwise_error_mc,
     pe_bound,
     q_craig,
@@ -72,28 +68,33 @@ def test_theta_grid_validation():
 
 def test_kernel_rayleigh_at_zero_theta():
     # only equal pairs survive: 2^(-c * n_sym)
-    assert kernel_rayleigh(0.0, 1.3, 0.7, 3, 5) == pytest.approx(2.0 ** -15, rel=1e-12)
-    assert kernel_nakagami(0.0, 2.0, 1.0, 1.7, 2, 4) == pytest.approx(2.0 ** -8, rel=1e-12)
-    assert kernel_rician(0.0, 0.5, 2.0, 2.5, 4, 2) == pytest.approx(2.0 ** -8, rel=1e-12)
+    assert kernel(FadingModel.rayleigh(0.7), 0.0, 1.3, 3, 5) == pytest.approx(
+        2.0 ** -15, rel=1e-12)
+    assert kernel(FadingModel.nakagami(1.7, 1.0), 0.0, 2.0, 2, 4) == pytest.approx(
+        2.0 ** -8, rel=1e-12)
+    assert kernel(FadingModel.rician(2.5, 2.0), 0.0, 0.5, 4, 2) == pytest.approx(
+        2.0 ** -8, rel=1e-12)
 
 
 def test_kernel_rayleigh_frozen_value():
     # direct double sum at theta=pi/2, sigma=1, omega=1, c=1: (2 + 2*8/9)/4
-    assert kernel_rayleigh(HALF_PI, 1.0, 1.0, 1, 1) == pytest.approx(17.0 / 18.0, rel=1e-14)
+    assert kernel(FadingModel.rayleigh(1.0), HALF_PI, 1.0, 1, 1) == pytest.approx(
+        17.0 / 18.0, rel=1e-14)
 
 
 def test_kernel_rayleigh_saturates_at_large_sigma():
-    assert kernel_rayleigh(1.0, 1e6, 1.0, 2, 3) == pytest.approx(1.0, abs=1e-6)
+    assert kernel(FadingModel.rayleigh(1.0), 1.0, 1e6, 2, 3) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_kernel_nakagami_frozen_value():
     # (2 + 2*(16/17)^2)/4 = 545/578
-    assert kernel_nakagami(HALF_PI, 1.0, 1.0, 2.0, 1, 1) == pytest.approx(545.0 / 578.0, rel=1e-14)
+    assert kernel(FadingModel.nakagami(2.0, 1.0), HALF_PI, 1.0, 1, 1) == pytest.approx(
+        545.0 / 578.0, rel=1e-14)
 
 
 def test_kernel_rician_frozen_value():
     # (1 + (16/17) * exp(-1/17)) / 2, from an independent nested-sum script
-    assert kernel_rician(HALF_PI, 1.0, 1.0, 1.0, 1, 1) == pytest.approx(
+    assert kernel(FadingModel.rician(1.0, 1.0), HALF_PI, 1.0, 1, 1) == pytest.approx(
         0.9437050088728822, rel=1e-13)
 
 
@@ -105,9 +106,9 @@ def test_reduction_identities(seed):
     omega = float(rng.uniform(0.25, 4.0))
     c = int(rng.integers(1, 9))
     n_sym = int(rng.integers(1, 25))
-    ray = kernel_rayleigh(theta, sigma, omega, c, n_sym)
-    assert np.max(np.abs(kernel_nakagami(theta, sigma, omega, 1.0, c, n_sym) - ray) / ray) < 1e-12
-    assert np.max(np.abs(kernel_rician(theta, sigma, omega, 0.0, c, n_sym) - ray) / ray) < 1e-12
+    ray = kernel(FadingModel.rayleigh(omega), theta, sigma, c, n_sym)
+    for model in (FadingModel.nakagami(1.0, omega), FadingModel.rician(0.0, omega)):
+        assert np.max(np.abs(kernel(model, theta, sigma, c, n_sym) - ray) / ray) < 1e-12
 
 
 def test_kernel_monotone_in_theta():
@@ -119,16 +120,16 @@ def test_kernel_monotone_in_theta():
         c = int(rng.integers(1, 9))
         n_sym = int(rng.integers(1, 25))
         for vals in (
-            kernel_rayleigh(theta, sigma, omega, c, n_sym),
-            kernel_nakagami(theta, sigma, omega, float(rng.uniform(0.5, 4.0)), c, n_sym),
-            kernel_rician(theta, sigma, omega, float(rng.uniform(0.0, 4.0)), c, n_sym),
+            kernel(FadingModel.rayleigh(omega), theta, sigma, c, n_sym),
+            kernel(FadingModel.nakagami(float(rng.uniform(0.5, 4.0)), omega), theta, sigma, c, n_sym),
+            kernel(FadingModel.rician(float(rng.uniform(0.0, 4.0)), omega), theta, sigma, c, n_sym),
         ):
             assert np.all(np.diff(vals) >= -1e-12)
 
 
 def test_kernel_in_unit_interval():
     theta = np.linspace(1e-6, HALF_PI, 100)
-    vals = kernel_rayleigh(theta, 0.4, 2.0, 6, 12)
+    vals = kernel(FadingModel.rayleigh(2.0), theta, 0.4, 6, 12)
     assert np.all(vals > 0) and np.all(vals <= 1.0)
 
 
@@ -137,7 +138,7 @@ def test_kernel_in_unit_interval():
 def test_grid_sum_single_cell_is_half_endpoint():
     model = FadingModel.rayleigh(1.0)
     grid = uniform_theta_grid(1)
-    expected = 0.5 * kernel_rayleigh(HALF_PI, 1.0, 1.0, 2, 3)
+    expected = 0.5 * kernel(model, HALF_PI, 1.0, 2, 3)
     assert kernel_grid_sum(model, 3, 1.0, 2, grid) == pytest.approx(expected, rel=1e-14)
 
 
@@ -314,10 +315,3 @@ def test_pairwise_error_ten_dim():
 def test_pairwise_error_rejects_few_trials():
     with pytest.raises(ConfigurationError):
         pairwise_error_mc(np.ones(2), 1.0, 100, CounterStream(3))
-
-
-# --- Bessel series helper -------------------------------------------------------
-
-def test_bessel_series_matches_scipy():
-    for x in (0.0, 0.5, 1.0, 5.0, 12.0, 30.0):
-        assert bessel_i0_series(x) == pytest.approx(float(i0(x)), rel=1e-13)

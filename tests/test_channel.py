@@ -16,7 +16,6 @@ from spinalfade import (
     Message,
     encode,
     pdf,
-    sample_gain,
     sample_gains,
     snr_to_sigma,
     symbol_energy,
@@ -70,11 +69,6 @@ def test_nakagami_m1_is_rayleigh():
 def test_rician_k0_is_rayleigh():
     gains = sample_gains(FadingModel.rician(0.0, 1.0), 100_000, CounterStream(3))
     assert stats.kstest(gains, _rayleigh_cdf).pvalue > 0.001
-
-
-def test_sample_gain_scalar():
-    g = sample_gain(FadingModel.rayleigh(1.0), CounterStream(4))
-    assert isinstance(g, float) and g >= 0
 
 
 def test_pdf_rayleigh_at_zero():

@@ -27,6 +27,12 @@ def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def assert_one_line_error(capsys, args, code=1):
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_bound_headline_config_shape():
     code, out = run_cli(["bound", "--model", "rayleigh"])
     assert code == 0
@@ -53,9 +59,28 @@ def test_invalid_params_exit_one(capsys):
     assert "k must divide n" in capsys.readouterr().err
 
 
-def test_unknown_model_exit_one():
+def test_unknown_model_exit_one(tmp_path, capsys):
+    assert_one_line_error(capsys, ["bound", "--model", "weibull"])
+    conf = tmp_path / "weibull.json"
+    conf.write_text(json.dumps({"model": "weibull"}))
+    assert_one_line_error(capsys, ["bound", "--config", str(conf)])
+
+
+def test_zero_theta_points_exit_one():
     code, _ = run_cli(["bound", "--theta-points", "0"])
     assert code == 1
+
+
+@pytest.mark.parametrize("args", [["bound", "--n", "abc"], ["bound", "--bogus"], []])
+def test_usage_error_exit_one(capsys, args):
+    assert_one_line_error(capsys, args)
+
+
+def test_help_exit_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--help"])
+    assert exc.value.code == 0
+    assert "usage: spinalfade bound" in capsys.readouterr().out
 
 
 def test_simulate_reproducible_bytes(tmp_path):
@@ -113,12 +138,6 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     conf.write_text(json.dumps({"modle": "rayleigh"}))
     code, _ = run_cli(["bound", "--config", str(conf)])
     assert code == 1
-
-
-def assert_one_line_error(capsys, args, code=1):
-    assert main(args) == code
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_config_wrong_value_type_exit_one(tmp_path, capsys):
@@ -193,12 +212,12 @@ def test_verify_quick_passes():
 
 
 def test_verify_detects_perturbed_kernel(monkeypatch):
-    pristine = verify.kernel_rayleigh
+    pristine = verify.kernel
 
-    def crooked(theta, sigma, omega, c, n_sym):
-        return 1.01 * pristine(theta, sigma, omega, c, n_sym)
+    def crooked(model, theta, sigma, c, n_sym):
+        return 1.01 * pristine(model, theta, sigma, c, n_sym)
 
-    monkeypatch.setattr(verify, "kernel_rayleigh", crooked)
+    monkeypatch.setattr(verify, "kernel", crooked)
     code, out = run_cli(["verify", "--quick"])
     assert code == 2
     assert any("kernel-vs-quadrature" in line and "FAIL" in line

@@ -16,7 +16,7 @@ from spinalfade import (
     segment,
     spine_chain,
 )
-from spinalfade.codec import hash_step_array
+from spinalfade.codec import child_spines, code_keys
 
 
 def test_segment_bit_split():
@@ -103,8 +103,9 @@ def collision_count(pairs: int, seed: int = 0) -> tuple[int, float]:
     m1 = rng.integers(0, 256, size=pairs, dtype=np.uint64)
     m2 = rng.integers(0, 256, size=pairs, dtype=np.uint64)
     distinct = ~((s1 == s2) & (m1 == m2))
-    h1 = hash_step_array(s1[distinct], m1[distinct], params)
-    h2 = hash_step_array(s2[distinct], m2[distinct], params)
+    hash_key = code_keys(0)[0]
+    h1 = child_spines(hash_key, s1[distinct], m1[distinct], params)
+    h2 = child_spines(hash_key, s2[distinct], m2[distinct], params)
     return int(np.count_nonzero(h1 == h2)), distinct.sum() * 2.0 ** -16
 
 
@@ -118,7 +119,7 @@ def test_hash_output_bits_balanced():
     rng = np.random.default_rng(1)
     spines = rng.integers(0, 1 << 32, size=100_000, dtype=np.uint64)
     segs = rng.integers(0, 256, size=100_000, dtype=np.uint64)
-    h = hash_step_array(spines, segs, params)
+    h = child_spines(code_keys(0)[0], spines, segs, params)
     for bit in range(params.v):
         freq = np.count_nonzero((h >> np.uint64(bit)) & np.uint64(1)) / h.size
         assert abs(freq - 0.5) < 0.01, f"bit {bit} frequency {freq}"

@@ -165,6 +165,34 @@ def test_estimate_fer_early_stop_deterministic():
     assert c.trials >= 5_000
 
 
+def test_early_stop_uses_workers_and_batch(monkeypatch):
+    model = FadingModel.rayleigh(1.0)
+    sigma = snr_to_sigma(2.0, model, PARAMS.c)
+    base = estimate_fer(PARAMS, model, sigma, 50_000, seed=6, early_stop_errors=100)
+    counts = []
+    right = sim.count_errors
+
+    def recording(*args):
+        counts.append(args[5])
+        return right(*args)
+
+    monkeypatch.setattr(sim, "count_errors", recording)
+    # batch caps a job; with the default batch, a 1000-trial checkpoint is
+    # still shared out among the workers
+    for workers, batch in ((2, 250), (4, sim.DEFAULT_BATCH)):
+        counts.clear()
+        alt = estimate_fer(PARAMS, model, sigma, 50_000, seed=6, workers=workers,
+                           batch=batch, early_stop_errors=100)
+        assert (alt.trials, alt.errors) == (base.trials, base.errors)
+        assert sum(counts) == alt.trials and max(counts) <= 250
+
+
+def test_estimate_fer_rejects_bad_workers_and_batch():
+    for kwargs in (dict(workers=0), dict(batch=0)):
+        with pytest.raises(ConfigurationError):
+            estimate_fer(SMALL, FadingModel.rayleigh(1.0), 1.0, 100, seed=0, **kwargs)
+
+
 def test_fer_estimate_fields():
     est = FerEstimate(trials=400, errors=100)
     assert est.fer == 0.25
