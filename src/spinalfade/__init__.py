@@ -32,7 +32,6 @@ from .codec import (
     encode,
     hash_step,
     random_message,
-    rng_symbols,
     segment,
     spine_chain,
 )

@@ -63,10 +63,6 @@ class ThetaGrid:
         if abs(float(w.sum()) - 0.5) > 1e-12:
             raise ConfigurationError("grid weights must sum to 1/2")
 
-    @property
-    def num_cells(self) -> int:
-        return self.weights.size
-
     @classmethod
     def from_thetas(cls, thetas) -> "ThetaGrid":
         th = np.asarray(thetas, dtype=np.float64)

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 from .bounds import pe_bound, uniform_theta_grid
 from .channel import FadingModel, snr_to_sigma
 from .codec import CodeParams, ConfigurationError
-from .decoder import CapacityError
+from .decoder import MEMORY_BUDGET, CapacityError
 from .sim import sweep
 from .verify import run_checks
 
@@ -184,10 +184,19 @@ def _emit(config: RunConfig, text: str) -> int:
     return 0
 
 
+def _code_model_grid(config: RunConfig):
+    """Code, fading model and theta grid; the grid only once a kernel call
+    over it fits MEMORY_BUDGET (N times 2^c - 1 float64 pair terms)."""
+    params, model = config.code_params(), config.fading_model()
+    need = config.theta_points * ((1 << params.c) - 1) * 8
+    if need > MEMORY_BUDGET:
+        raise CapacityError(f"theta-points {config.theta_points} at c={params.c} needs "
+                            f"{need >> 20} MiB, over the {MEMORY_BUDGET >> 20} MiB budget")
+    return params, model, uniform_theta_grid(config.theta_points)
+
+
 def cmd_bound(config: RunConfig) -> int:
-    params = config.code_params()
-    model = config.fading_model()
-    grid = uniform_theta_grid(config.theta_points)
+    params, model, grid = _code_model_grid(config)
     rows = []
     for snr_db in config.snr_values():
         sigma = snr_to_sigma(snr_db, model, params.c)
@@ -198,9 +207,7 @@ def cmd_bound(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    params = config.code_params()
-    model = config.fading_model()
-    grid = uniform_theta_grid(config.theta_points)
+    params, model, grid = _code_model_grid(config)
     results = sweep(params, model, config.snr_values(), config.trials,
                     config.seed, grid, workers=config.workers,
                     early_stop_errors=config.early_stop,

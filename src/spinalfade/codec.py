@@ -78,26 +78,9 @@ class Message:
                 f"message value {self.value} does not fit in {self.n} bits"
             )
 
-    @classmethod
-    def from_bits(cls, bits) -> "Message":
-        bits = [int(b) for b in bits]
-        if any(b not in (0, 1) for b in bits):
-            raise ConfigurationError("bits must be 0 or 1")
-        value = 0
-        for b in bits:
-            value = (value << 1) | b
-        return cls(value=value, n=len(bits))
-
-    def bits(self) -> list[int]:
-        return [(self.value >> (self.n - 1 - i)) & 1 for i in range(self.n)]
-
 
 def _hash_key(seed: int) -> np.ndarray:
     return absorb(HASH_DOMAIN, np.uint64(seed))
-
-
-def _rng_key(seed: int) -> np.ndarray:
-    return absorb(RNG_DOMAIN, np.uint64(seed))
 
 
 def segment(message: Message, params: CodeParams) -> np.ndarray:
@@ -130,15 +113,6 @@ def spine_chain(message: Message, params: CodeParams, seed: int = 0) -> np.ndarr
     return spines
 
 
-def rng_symbols(spine: int, count: int, params: CodeParams, seed: int = 0) -> np.ndarray:
-    """`count` c-bit symbols of the stream seeded by one spine value."""
-    if count < 1:
-        raise ConfigurationError(f"count must be >= 1, got {count}")
-    base = absorb(_rng_key(seed), np.uint64(spine))
-    raw = stream_at(base, np.arange(count, dtype=np.uint64))
-    return (raw & np.uint64(params.symbol_mask)).astype(np.int64)
-
-
 def encode(message: Message, params: CodeParams, seed: int = 0) -> np.ndarray:
     """Encode a message into its (n/k) x L symbol matrix.
 
@@ -146,7 +120,7 @@ def encode(message: Message, params: CodeParams, seed: int = 0) -> np.ndarray:
     produce identical rows 1..j.
     """
     spines = spine_chain(message, params, seed)
-    return symbol_rows(_rng_key(seed), spines, params).astype(np.int64)
+    return symbol_rows(code_keys(seed)[1], spines, params).astype(np.int64)
 
 
 def random_message(params: CodeParams, raw_word: int) -> Message:

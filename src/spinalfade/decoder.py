@@ -1,10 +1,10 @@
-"""Exact ML decoding by exhaustive search with prefix-tree spine sharing.
+"""Exact ML decoding by pruned tree search with prefix-tree spine sharing.
 
-The decoder scores every candidate message by its squared distance to the
-received frame given the known gains and returns a global minimizer.  The
-candidate space is walked as a depth-(n/k) tree with 2^k branches per node:
-symbol rows are generated once per node, so level a holds 2^(a*k) rows
-instead of the 2^n * (n/k) a flat enumeration would touch.
+The decoder returns a candidate of least squared distance to the received
+frame given the known gains.  Candidates form a depth-(n/k) tree with 2^k
+branches per node and one symbol row per node.  `tree_search` is the one
+search over it: `ml_decode` calls it with a radius from a greedy descent,
+and the Monte Carlo path (`sim.count_errors`) with the sent message's cost.
 
 `brute_force_decode` is the independent oracle: a flat loop over all
 candidates that re-encodes each one from scratch and shares none of the
@@ -31,10 +31,12 @@ BRUTE_FORCE_MAX_BITS = 16
 # Absolute.  Costs at the paper's parameters reach 1e5-1e6, where one ulp
 # is about 1e-11 to 1e-10, so there this amounts to exact equality.
 TIE_TOLERANCE = 1e-12
+# Bytes one search pass (per worker) or one kernel call may hold.
+MEMORY_BUDGET = 256 << 20
 
 
 class CapacityError(ValueError):
-    """Message size exceeds what exhaustive decoding supports."""
+    """A code or grid size whose work would not fit the supported limits."""
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,43 @@ class DecodeResult:
     decoded: Message
     min_cost: float
     tie: bool
+
+
+def tree_search(expand, received: np.ndarray, gains: np.ndarray,
+                threshold: np.ndarray | None):
+    """Every leaf whose cost is at most its frame's threshold, as (trial,
+    value, cost) arrays sorted by trial and by candidate value.
+
+    `received` and `gains` have shape (B, n/k, L), `threshold` (B,).
+    `expand(a, trial, nodes)` returns the states (N, 2^k) and symbol rows
+    (N, 2^k, L) of the level-a children of N nodes (frames `trial`, states
+    `nodes`, 0 at the root).  With `threshold` None it keeps the cheapest
+    child of each node instead: a greedy descent to one leaf per frame.
+
+    Costs are sums of non-negative row distances added root to leaf, and
+    adding a non-negative double never lowers the rounded sum, so a prefix
+    already above the threshold has no leaf within it.  Dropping it changes
+    no surviving leaf's cost, bit for bit.  With nothing to drop (zero
+    gains) the frontier is the whole tree.
+    """
+    count = len(received)
+    trial = np.arange(count)
+    node = np.zeros(count, dtype=np.uint64)
+    value = np.zeros(count, dtype=np.int64)
+    cost = np.zeros(count)
+    for a in range(received.shape[1]):
+        children, x = expand(a, trial, node)
+        y = received[:, a].take(trial, axis=0)[:, None, :]
+        h = gains[:, a].take(trial, axis=0)[:, None, :]
+        child_cost = cost[:, None] + ((y - h * x) ** 2).sum(axis=2)
+        if threshold is None:
+            parent, seg = np.arange(len(child_cost)), child_cost.argmin(axis=1)
+        else:
+            parent, seg = np.nonzero(child_cost <= threshold[trial, None])
+        trial, node = trial[parent], children[parent, seg]
+        value = value[parent] * x.shape[1] + seg
+        cost = child_cost[parent, seg]
+    return trial, value, cost
 
 
 class CandidateTable:
@@ -58,26 +97,28 @@ class CandidateTable:
 
     def __init__(self, params: CodeParams, seed: int = 0):
         self.params = params
-        self.seed = seed
         stacked = codebook_levels(params, np.array([seed], dtype=np.uint64))
         self.levels: list[np.ndarray] = [level[0] for level in stacked]
+        self._segs = np.arange(1 << params.k, dtype=np.uint64)
+
+    def _expand(self, a, trial, nodes):
+        children = nodes[:, None] * np.uint64(len(self._segs)) + self._segs
+        return children, self.levels[a].take(children, axis=0)
 
     def costs(self, received: np.ndarray, gains: np.ndarray) -> np.ndarray:
-        """Costs of all 2^n candidates for a batch of realizations.
+        """Costs of the 2^n candidates for a batch of realizations.
 
         `received` and `gains` have shape (B, n/k, L); returns (B, 2^n).
+        The search radius, a greedy descent's leaf cost plus TIE_TOLERANCE,
+        keeps every candidate within TIE_TOLERANCE of the minimum exactly;
+        the others read +inf.
         """
-        branches = 1 << self.params.k
-        total: np.ndarray | None = None
-        for a, rows in enumerate(self.levels):
-            y = received[:, a, None, :]
-            h = gains[:, a, None, :]
-            partial = ((y - h * rows[None, :, :]) ** 2).sum(axis=2)
-            if total is None:
-                total = partial
-            else:
-                total = np.repeat(total, branches, axis=1) + partial
-        return total
+        greedy = tree_search(self._expand, received, gains, None)[2]
+        trial, value, cost = tree_search(self._expand, received, gains,
+                                         greedy + TIE_TOLERANCE)
+        out = np.full((len(received), 1 << self.params.n), np.inf)
+        out[trial, value] = cost
+        return out
 
 
 def candidate_cost(candidate: Message, realization: ChannelRealization,
@@ -110,10 +151,8 @@ def ml_decode(realization: ChannelRealization, params: CodeParams,
     `table` to amortize the candidate symbols across many frames.
     """
     if params.n > ML_DECODE_MAX_BITS:
-        raise CapacityError(
-            f"ml_decode enumerates 2^n candidates; n={params.n} exceeds "
-            f"{ML_DECODE_MAX_BITS}"
-        )
+        raise CapacityError(f"ml_decode returns 2^n candidate costs; n={params.n} "
+                            f"exceeds {ML_DECODE_MAX_BITS}")
     if table is None:
         table = CandidateTable(params, seed)
     expected = (params.num_segments, params.L)

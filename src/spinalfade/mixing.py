@@ -67,16 +67,12 @@ class CounterStream:
 
     Draws depend only on the key and the number of values drawn so far,
     never on scheduling, so independent streams may be consumed
-    concurrently.  `spawn` derives an unrelated child stream.
+    concurrently.
     """
 
     def __init__(self, key: int):
         self._key = np.uint64(int(key) & 0xFFFFFFFFFFFFFFFF)
         self._pos = 0
-
-    @property
-    def key(self) -> int:
-        return int(self._key)
 
     def raw(self, count: int) -> np.ndarray:
         """Next `count` raw uint64 words."""
@@ -91,6 +87,3 @@ class CounterStream:
     def normals(self, count: int) -> np.ndarray:
         """Next `count` standard normals (inverse-CDF of uniforms)."""
         return ndtri(self.uniforms(count))
-
-    def spawn(self, index: int) -> "CounterStream":
-        return CounterStream(int(absorb(self._key, np.uint64(index))))

@@ -7,21 +7,14 @@ vectorized blocks, or on several workers.  `run_trial` is the scalar
 reference path; `count_errors` is the vectorized block path that
 reproduces it draw for draw.
 
-`count_errors` does not score all 2^n candidates.  The sent message is
-known, so a trial is a frame error iff some other candidate m has
-cost(m) <= C_s + TIE_TOLERANCE, where C_s is the sent cost: that is
-exactly `run_trial`'s rule (the minimizer is not the sent message, or two
-candidates tie on the minimum).  Costs are sums of non-negative per-row
-terms added root to leaf, and adding a non-negative double never lowers
-the rounded sum, so a prefix whose partial cost already exceeds the
-threshold has no descendant within it.  The search therefore keeps a
-frontier of the prefixes still within the threshold, hashes only their
-children, and accumulates costs in the same order as `ml_decode`, which
-makes the counts bit-identical to exhaustive search.  At high SNR the
-frontier is little more than the sent path and its siblings (about 16 of
-the 340 nodes of the paper's code); when nothing can be pruned (zero
-gains) it is the whole tree, which is why blocks are sized from
-MEMORY_BUDGET for that worst case.
+The sent message is known, so a trial is a frame error iff some other
+candidate has cost <= C_s + TIE_TOLERANCE, C_s being the sent cost: that
+is `run_trial`'s rule (the minimizer is not the sent message, or two
+candidates tie on the minimum).  `count_errors` hashes the sent path for
+the received frame and C_s, then asks `decoder.tree_search`, which
+`ml_decode` uses too, for every leaf within that threshold.  At high SNR
+that search touches about 16 of the paper code's 340 nodes; with nothing
+to prune it is the whole tree, so blocks are sized for that worst case.
 
 Re-keying the codebook per trial makes the estimator target the
 ensemble-average error probability, which is the quantity the analytical
@@ -55,7 +48,13 @@ from .codec import (
     random_message,
     symbol_rows,
 )
-from .decoder import TIE_TOLERANCE, CapacityError, ml_decode
+from .decoder import (
+    MEMORY_BUDGET,
+    TIE_TOLERANCE,
+    CapacityError,
+    ml_decode,
+    tree_search,
+)
 from .mixing import (
     CODEBOOK_DOMAIN,
     SIM_DOMAIN,
@@ -68,11 +67,10 @@ from .mixing import (
 
 EARLY_STOP_BLOCK = 1_000
 DEFAULT_BATCH = 2_048
-# Bytes one search pass may hold (per worker), and what a leaf of a search
-# that prunes nothing costs: a fixed part plus a part per symbol pass.  The
-# two constants cover the peak traced by tracemalloc for k in 1..6 and
-# L in 1..20 (k=1 with L=1 and L=20 come closest).
-MEMORY_BUDGET = 256 << 20
+# What a leaf of a search that prunes nothing costs: a fixed part plus a
+# part per symbol pass.  The two constants cover the peak traced by
+# tracemalloc for k in 1..6 and L in 1..20 (k=1 with L=1 and L=20 come
+# closest).
 _NODE_BYTES = 80
 _NODE_ROW_BYTES = 32
 
@@ -207,25 +205,14 @@ def _count_block(params: CodeParams, model: FadingModel, sigma: float,
         sent = symbol_rows(rng_keys, spine, params)
         received[:, a, :] = gains[:, a, :] * sent + noise[:, a, :]
         sent_cost = sent_cost + ((received[:, a, :] - gains[:, a, :] * sent) ** 2).sum(axis=1)
-    threshold = sent_cost + TIE_TOLERANCE
 
-    # The frontier: every prefix whose partial cost is still <= threshold,
-    # as parallel arrays (trial, spine, prefix value, partial cost).
     segs = np.arange(1 << params.k, dtype=np.uint64)
-    trial = np.arange(count)
-    spine = np.zeros(count, dtype=np.uint64)
-    value = np.zeros(count, dtype=np.int64)
-    cost = np.zeros(count)
-    for a in range(rows):
-        children = child_spines(hash_keys[trial, None], spine[:, None], segs, params)
-        x = symbol_rows(rng_keys[trial, None], children, params)
-        y = received[trial, a][:, None, :]
-        h = gains[trial, a][:, None, :]
-        child_cost = cost[:, None] + ((y - h * x) ** 2).sum(axis=2)
-        parent, seg = np.nonzero(child_cost <= threshold[trial, None])
-        trial, spine = trial[parent], children[parent, seg]
-        value = (value[parent] << params.k) | seg
-        cost = child_cost[parent, seg]
+
+    def expand(a, trial, spines):
+        children = child_spines(hash_keys[trial, None], spines[:, None], segs, params)
+        return children, symbol_rows(rng_keys[trial, None], children, params)
+
+    trial, value, _ = tree_search(expand, received, gains, sent_cost + TIE_TOLERANCE)
     return int(np.unique(trial[value != msgs[trial]]).size)
 
 
@@ -250,6 +237,9 @@ def estimate_fer(params: CodeParams, model: FadingModel, sigma: float,
     if workers < 1 or batch < 1:
         raise ConfigurationError(
             f"workers and batch must be >= 1, got {workers} and {batch}")
+    if (early_stop_errors is not None and early_stop_errors < 1) or min_trials < 0:
+        raise ConfigurationError(f"early stop must be >= 1 and min trials >= 0, "
+                                 f"got {early_stop_errors} and {min_trials}")
     step = trials if early_stop_errors is None else EARLY_STOP_BLOCK
 
     def job(span):

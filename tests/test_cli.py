@@ -169,6 +169,16 @@ def test_search_over_memory_budget_exit_one(capsys):
     assert_one_line_error(capsys, ["simulate", *SIM_ARGS, "--n", "24"])
 
 
+@pytest.mark.parametrize("flags", [["--early-stop", "0"], ["--early-stop", "-5"],
+                                   ["--min-trials", "-3"]])
+def test_bad_early_stop_settings_exit_one(capsys, flags):
+    assert_one_line_error(capsys, ["simulate", *SIM_ARGS, "--trials", "5000", *flags])
+
+
+def test_theta_grid_over_memory_budget_exit_one(capsys):
+    assert_one_line_error(capsys, ["bound", "--theta-points", "100000000"])
+
+
 def test_program_bug_is_not_a_configuration_error(monkeypatch):
     def broken(config):
         raise ValueError("internal bug")

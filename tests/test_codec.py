@@ -12,16 +12,15 @@ from spinalfade import (
     Message,
     encode,
     hash_step,
-    rng_symbols,
     segment,
     spine_chain,
 )
-from spinalfade.codec import child_spines, code_keys
+from spinalfade.codec import child_spines, code_keys, symbol_rows
 
 
 def test_segment_bit_split():
     params = CodeParams(n=8, k=2, c=8)
-    msg = Message.from_bits([0, 0, 0, 1, 1, 0, 1, 1])
+    msg = Message(value=0b00011011, n=8)
     assert segment(msg, params).tolist() == [0, 1, 2, 3]
 
 
@@ -33,7 +32,7 @@ def test_segment_identity_case():
 
 def test_segment_all_ones():
     params = CodeParams(n=4, k=2, c=8)
-    assert segment(Message.from_bits([1, 1, 1, 1]), params).tolist() == [3, 3]
+    assert segment(Message(value=0b1111, n=4), params).tolist() == [3, 3]
 
 
 def test_segment_concatenation_roundtrip():
@@ -55,9 +54,6 @@ def test_segment_length_mismatch():
 
 
 def test_message_bits_roundtrip():
-    bits = [1, 0, 1, 1, 0, 0, 1, 0]
-    msg = Message.from_bits(bits)
-    assert msg.bits() == bits
     with pytest.raises(ConfigurationError):
         Message(value=256, n=8)
 
@@ -159,27 +155,30 @@ def test_spine_chain_single_segment():
     assert int(chain[0]) == hash_step(0, 9, params)
 
 
+def _spine_symbols(spine, count, seed=0):
+    """`count` symbols of the stream one spine seeds, at n=8 k=2 c=8."""
+    params = CodeParams(n=8, k=2, c=8, L=count)
+    return symbol_rows(code_keys(seed)[1], np.uint64(spine), params)
+
+
 def test_rng_symbols_deterministic_and_in_range():
-    params = CodeParams(n=8, k=2, c=8)
-    a = rng_symbols(123456, 64, params)
-    b = rng_symbols(123456, 64, params)
+    a = _spine_symbols(123456, 64)
+    b = _spine_symbols(123456, 64)
     assert np.array_equal(a, b)
     assert a.min() >= 0 and a.max() < 256
     # counter access: a longer draw extends, never changes, the stream
-    assert np.array_equal(rng_symbols(123456, 200, params)[:64], a)
+    assert np.array_equal(_spine_symbols(123456, 200)[:64], a)
 
 
 def test_rng_symbols_chi_square_uniform():
-    params = CodeParams(n=8, k=2, c=8)
-    draws = rng_symbols(987654321, 100_000, params)
+    draws = _spine_symbols(987654321, 100_000).astype(np.int64)
     counts = np.bincount(draws, minlength=256)
     assert stats.chisquare(counts).pvalue > 0.001
 
 
 def test_rng_symbols_cross_spine_correlation():
-    params = CodeParams(n=8, k=2, c=8)
-    s1 = rng_symbols(1111, 10_000, params).astype(float)
-    s2 = rng_symbols(2222, 10_000, params).astype(float)
+    s1 = _spine_symbols(1111, 10_000)
+    s2 = _spine_symbols(2222, 10_000)
     rho = np.corrcoef(s1, s2)[0, 1]
     assert abs(rho) < 0.02
 
@@ -233,6 +232,3 @@ def test_counter_stream_contract():
     assert np.array_equal(a.raw(10), b.raw(10))
     u = a.uniforms(1_000)
     assert np.all(u > 0) and np.all(u < 1)
-    child = b.spawn(3)
-    assert child.key != b.key
-    assert not np.array_equal(CounterStream(child.key).raw(8), CounterStream(42).raw(8))

@@ -1,9 +1,14 @@
 """Decoder tests: cost contract, oracle equivalence, tie semantics."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinalfade import (
+    CandidateTable,
     CapacityError,
     ChannelRealization,
     CodeParams,
@@ -159,3 +164,51 @@ def test_decode_rejects_shape_mismatch():
                               received=np.zeros((3, 2)), sigma=1.0)
     with pytest.raises(ValueError):
         ml_decode(real, SMALL)
+
+
+@st.composite
+def decode_cases(draw):
+    k = draw(st.integers(1, 4))
+    n = k * draw(st.integers(1, 8 // k))
+    params = CodeParams(n=n, k=k, c=draw(st.integers(1, 8)),
+                        v=draw(st.one_of(st.integers(1, 4), st.integers(5, 64))),
+                        L=draw(st.integers(1, 4)))
+    model = draw(st.sampled_from([
+        FadingModel.rayleigh(1.0), FadingModel.nakagami(2.0, omega=0.5),
+        FadingModel.rician(1.0, omega=2.0)]))
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    code_seed = draw(st.integers(0, 2 ** 32))
+    symbols = encode(Message(value=draw(st.integers(0, (1 << n) - 1)), n=n),
+                     params, code_seed)
+    stream = CounterStream(draw(st.integers(0, 2 ** 63)))
+    return params, code_seed, transmit(symbols, model, sigma, stream,
+                                       fixed_gain=draw(st.sampled_from([None, 0.0])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(decode_cases())
+def test_ml_decode_matches_brute_force_property(case):
+    params, code_seed, real = case
+    fast = ml_decode(real, params, code_seed)
+    oracle = brute_force_decode(real, params, code_seed)
+    assert (fast.decoded, fast.tie) == (oracle.decoded, oracle.tie)
+    assert math.isclose(fast.min_cost, oracle.min_cost, rel_tol=1e-9)
+
+
+def test_candidate_table_costs_batch():
+    params = CodeParams(n=8, k=2, c=4, v=32, L=3)
+    table = CandidateTable(params)
+    reals = [make_realization(params, value, sigma, key, model)
+             for value, sigma, key, model in (
+                 (13, 0.3, 1, FadingModel.rayleigh(1.0)),
+                 (200, 3.0, 2, FadingModel.nakagami(2.0)),
+                 (77, 30.0, 3, FadingModel.rician(1.0)))]
+    costs = table.costs(np.stack([r.received for r in reals]),
+                        np.stack([r.gains for r in reals]))
+    assert costs.shape == (3, 1 << params.n)
+    for row, real in zip(costs, reals):
+        exact = np.array([candidate_cost(Message(value=v, n=params.n), real, params)
+                          for v in range(1 << params.n)])
+        kept = np.isfinite(row)
+        assert kept[np.argmin(exact)]
+        np.testing.assert_allclose(row[kept], exact[kept], rtol=1e-9)

@@ -193,6 +193,13 @@ def test_estimate_fer_rejects_bad_workers_and_batch():
             estimate_fer(SMALL, FadingModel.rayleigh(1.0), 1.0, 100, seed=0, **kwargs)
 
 
+def test_estimate_fer_rejects_bad_early_stop_and_min_trials():
+    for kwargs in (dict(early_stop_errors=0), dict(early_stop_errors=-5),
+                   dict(min_trials=-3)):
+        with pytest.raises(ConfigurationError):
+            estimate_fer(SMALL, FadingModel.rayleigh(1.0), 1.0, 5000, seed=0, **kwargs)
+
+
 def test_fer_estimate_fields():
     est = FerEstimate(trials=400, errors=100)
     assert est.fer == 0.25
