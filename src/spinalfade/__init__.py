@@ -11,7 +11,6 @@ from .bounds import (
     pairwise_error_mc,
     pe_bound,
     q_craig,
-    segment_error_bound,
     tail_symbols,
     uniform_theta_grid,
 )

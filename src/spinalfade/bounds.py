@@ -10,7 +10,8 @@ and in the fading average of an unequal pair, which `_family` supplies
 increasing in theta, so a right-endpoint sum over any partition of
 [0, pi/2] upper-bounds its integral; that sum, scaled by the number of
 competing candidates, gives the per-segment bound, and the frame bound
-follows by chaining segments.
+follows by chaining segments.  Segments differ only in the exponent and
+the multiplicity, so one kernel evaluation per point serves them all.
 
 Numerical oracles live alongside the closed forms: adaptive quadrature of
 the defining fading integrals, a quadrature Q-function, and a Monte Carlo
@@ -123,14 +124,16 @@ def _family(model: FadingModel):
     return K + 1.0, lambda w, frac: w * frac * np.exp(K * frac - K)
 
 
-def kernel(model: FadingModel, theta, sigma: float, c: int, n_sym: int):
+def kernel(model: FadingModel, theta, sigma: float, c: int, n_sym):
     """Kernel of the given fading model at theta, raised to the n_sym
     differing symbols; a float for scalar theta, else an array.
 
-    The equal-pair term is 1 for every theta and family (including the
-    0/0 point at theta = 0, by continuity), and at theta = 0 every
-    unequal-pair term vanishes, so the value there is 2^(-c * n_sym).
-    Nakagami at m = 1 and Rician at K = 0 reduce to Rayleigh.
+    n_sym broadcasts against theta: a column of counts against N thetas
+    gives one row per count from one evaluation of the pair terms.  The
+    equal-pair term is 1 for every theta and family (including the 0/0
+    point at theta = 0, by continuity), and at theta = 0 every unequal-pair
+    term vanishes, so the value there is 2^(-c * n_sym).  Nakagami at m = 1
+    and Rician at K = 0 reduce to Rayleigh.
     """
     theta = np.asarray(theta, dtype=np.float64)
     scale, pair_terms = _family(model)
@@ -141,47 +144,39 @@ def kernel(model: FadingModel, theta, sigma: float, c: int, n_sym: int):
     return float(out) if theta.ndim == 0 else out
 
 
-def kernel_grid_sum(model: FadingModel, n_sym: int, sigma: float, c: int,
-                    grid: ThetaGrid) -> float:
-    """Right-endpoint weighted sum of the kernel over the theta grid.
+def kernel_grid_sum(model: FadingModel, n_sym, sigma: float, c: int, grid: ThetaGrid):
+    """Right-endpoint weighted sum of the kernel over the theta grid (last
+    axis): a float for scalar n_sym, one sum per row for a column of them.
 
     Upper-bounds (1/pi) times the kernel's integral over [0, pi/2] because
     the kernel is non-decreasing in theta.
     """
     vals = kernel(model, grid.thetas[1:], sigma, c, n_sym)
-    return float((grid.weights * vals).sum())
+    sums = (grid.weights * vals).sum(axis=-1)
+    return float(sums) if sums.ndim == 0 else sums
 
 
-def tail_symbols(params: CodeParams, a: int) -> int:
-    """Symbol slots in rows a..n/k: the positions where two candidates
-    first differing at segment a produce independent symbols."""
-    if not 1 <= a <= params.num_segments:
-        raise ValueError(
-            f"segment index must be in 1..{params.num_segments}, got {a}"
-        )
+def tail_symbols(params: CodeParams, a):
+    """Symbol slots in rows a..n/k (a may be an array of segment indices):
+    where two candidates first differing at a produce independent symbols."""
+    if np.any((a < 1) | (a > params.num_segments)):
+        raise ValueError(f"segment index must be in 1..{params.num_segments}, got {a}")
     return (params.num_segments - a + 1) * params.L
-
-
-def segment_error_bound(a: int, params: CodeParams, model: FadingModel,
-                        sigma: float, grid: ThetaGrid) -> float:
-    """Bound on the probability that segment a is the first decoding error.
-
-    The multiplicity (2^k - 1) * 2^(n - a*k) counts candidates that agree
-    on segments 1..a-1 and differ at segment a; the product with the grid
-    sum is clamped to 1.
-    """
-    n_sym = tail_symbols(params, a)
-    mult = ((1 << params.k) - 1) * 2.0 ** (params.n - a * params.k)
-    return min(1.0, mult * kernel_grid_sum(model, n_sym, sigma, params.c, grid))
 
 
 def pe_bound(params: CodeParams, model: FadingModel, sigma: float,
              grid: ThetaGrid) -> BoundResult:
-    """Frame-error upper bound 1 - prod_a (1 - segment bound a)."""
-    eps = np.array([
-        segment_error_bound(a, params, model, sigma, grid)
-        for a in range(1, params.num_segments + 1)
-    ])
+    """Frame-error upper bound 1 - prod_a (1 - segment bound a).
+
+    Segment a bounds the chance that a is the first decoding error: the
+    grid sum over its tail symbols, times the (2^k - 1) * 2^(n - a*k)
+    candidates that agree on segments 1..a-1 and differ at a, clamped to 1.
+    """
+    a = np.arange(1, params.num_segments + 1)
+    sums = kernel_grid_sum(model, tail_symbols(params, a)[:, None], sigma,
+                           params.c, grid)
+    mult = ((1 << params.k) - 1) * 2.0 ** (params.n - a * params.k)
+    eps = np.fmin(1.0, mult * sums)     # a nan sum (sigma = inf) clamps to 1
     return BoundResult(segment_bounds=eps, pe=float(1.0 - np.prod(1.0 - eps)))
 
 

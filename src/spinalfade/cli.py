@@ -186,9 +186,9 @@ def _emit(config: RunConfig, text: str) -> int:
 
 def _code_model_grid(config: RunConfig):
     """Code, fading model and theta grid; the grid only once a kernel call
-    over it fits MEMORY_BUDGET (N times 2^c - 1 float64 pair terms)."""
+    over it fits MEMORY_BUDGET (N times 2^c - 1 pair terms and n/k rows)."""
     params, model = config.code_params(), config.fading_model()
-    need = config.theta_points * ((1 << params.c) - 1) * 8
+    need = config.theta_points * ((1 << params.c) - 1 + params.num_segments) * 8
     if need > MEMORY_BUDGET:
         raise CapacityError(f"theta-points {config.theta_points} at c={params.c} needs "
                             f"{need >> 20} MiB, over the {MEMORY_BUDGET >> 20} MiB budget")

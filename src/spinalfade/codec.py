@@ -154,21 +154,19 @@ def symbol_rows(rng_keys, spines, params: CodeParams) -> np.ndarray:
     return (raw & np.uint64(params.symbol_mask)).astype(np.float64)
 
 
-def codebook_levels(params: CodeParams, seeds: np.ndarray) -> list[np.ndarray]:
-    """Candidate symbol tables for one codebook per seed.
+def codebook_levels(params: CodeParams, seed: int) -> list[np.ndarray]:
+    """Candidate symbol tables of the codebook keyed by `seed`.
 
-    Entry a of the result has shape (len(seeds), 2^((a+1)k), L): the symbols
-    of matrix row a+1 for every segment prefix, under each seed's hash key.
-    Variant indices spell the prefix in base 2^k, most significant segment
-    first, so candidate m uses variant m >> (n - (a+1)k) at level a.
+    Entry a of the result has shape (2^((a+1)k), L): the symbols of matrix
+    row a+1 for every segment prefix.  Variant indices spell the prefix in
+    base 2^k, most significant segment first, so candidate m uses variant
+    m >> (n - (a+1)k) at level a.
     """
-    hash_keys, rng_keys = code_keys(seeds)
-    hash_keys, rng_keys = hash_keys[:, None, None], rng_keys[:, None]
+    hash_key, rng_key = code_keys(seed)
     segs = np.arange(1 << params.k, dtype=np.uint64)
-    spines = np.zeros((len(hash_keys), 1), dtype=np.uint64)
+    spines = np.zeros(1, dtype=np.uint64)
     levels = []
     for _ in range(params.num_segments):
-        spines = child_spines(hash_keys, spines[:, :, None], segs, params)
-        spines = spines.reshape(len(spines), -1)
-        levels.append(symbol_rows(rng_keys, spines, params))
+        spines = child_spines(hash_key, spines[:, None], segs, params).ravel()
+        levels.append(symbol_rows(rng_key, spines, params))
     return levels

@@ -26,17 +26,39 @@ from .codec import (
 )
 from .channel import ChannelRealization
 
-ML_DECODE_MAX_BITS = 24
 BRUTE_FORCE_MAX_BITS = 16
 # Absolute.  Costs at the paper's parameters reach 1e5-1e6, where one ulp
 # is about 1e-11 to 1e-10, so there this amounts to exact equality.
 TIE_TOLERANCE = 1e-12
 # Bytes one search pass (per worker) or one kernel call may hold.
 MEMORY_BUDGET = 256 << 20
+# What a leaf of a search that prunes nothing costs: a fixed part plus a
+# part per symbol pass.  The two constants cover the peak traced by
+# tracemalloc for k in 1..6 and L in 1..20 (k=1 with L=1 and L=20 come
+# closest), and also the peaks of one table build and of one `ml_decode`.
+_NODE_BYTES = 80
+_NODE_ROW_BYTES = 32
 
 
 class CapacityError(ValueError):
     """A code or grid size whose work would not fit the supported limits."""
+
+
+def tree_bytes(params: CodeParams) -> int:
+    """Peak bytes of one frame's search when every prefix survives pruning
+    (all gains zero, or an SNR far below the code's reach)."""
+    return (1 << params.n) * (_NODE_BYTES + _NODE_ROW_BYTES * params.L)
+
+
+def trials_per_block(params: CodeParams) -> int:
+    """Frames one search pass takes together: as many as fit MEMORY_BUDGET
+    in the worst case, whatever the channel draws (CapacityError if none)."""
+    worst = tree_bytes(params)
+    if worst > MEMORY_BUDGET:
+        raise CapacityError(
+            f"one frame at n={params.n}, L={params.L} may need {worst >> 20} MiB "
+            f"for its search tree, over the {MEMORY_BUDGET >> 20} MiB budget")
+    return MEMORY_BUDGET // worst
 
 
 @dataclass(frozen=True)
@@ -96,9 +118,9 @@ class CandidateTable:
     """
 
     def __init__(self, params: CodeParams, seed: int = 0):
+        trials_per_block(params)    # CapacityError before any hashing
         self.params = params
-        stacked = codebook_levels(params, np.array([seed], dtype=np.uint64))
-        self.levels: list[np.ndarray] = [level[0] for level in stacked]
+        self.levels: list[np.ndarray] = codebook_levels(params, seed)
         self._segs = np.arange(1 << params.k, dtype=np.uint64)
 
     def _expand(self, a, trial, nodes):
@@ -148,11 +170,9 @@ def ml_decode(realization: ChannelRealization, params: CodeParams,
 
     Ties on the minimum (within 1e-12 absolute) are flagged and broken
     toward the lexicographically smallest bit pattern.  Pass a prebuilt
-    `table` to amortize the candidate symbols across many frames.
+    `table` to amortize the candidate symbols across many frames.  A code
+    whose search could pass MEMORY_BUDGET is a CapacityError.
     """
-    if params.n > ML_DECODE_MAX_BITS:
-        raise CapacityError(f"ml_decode returns 2^n candidate costs; n={params.n} "
-                            f"exceeds {ML_DECODE_MAX_BITS}")
     if table is None:
         table = CandidateTable(params, seed)
     expected = (params.num_segments, params.L)

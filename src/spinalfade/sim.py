@@ -48,13 +48,7 @@ from .codec import (
     random_message,
     symbol_rows,
 )
-from .decoder import (
-    MEMORY_BUDGET,
-    TIE_TOLERANCE,
-    CapacityError,
-    ml_decode,
-    tree_search,
-)
+from .decoder import TIE_TOLERANCE, ml_decode, tree_search, trials_per_block
 from .mixing import (
     CODEBOOK_DOMAIN,
     SIM_DOMAIN,
@@ -67,12 +61,6 @@ from .mixing import (
 
 EARLY_STOP_BLOCK = 1_000
 DEFAULT_BATCH = 2_048
-# What a leaf of a search that prunes nothing costs: a fixed part plus a
-# part per symbol pass.  The two constants cover the peak traced by
-# tracemalloc for k in 1..6 and L in 1..20 (k=1 with L=1 and L=20 come
-# closest).
-_NODE_BYTES = 80
-_NODE_ROW_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -131,23 +119,6 @@ def run_trial(params: CodeParams, model: FadingModel, sigma: float,
     realization = transmit(symbols, model, sigma, rand, fixed_gain=fixed_gain)
     result = ml_decode(realization, params, code_seed)
     return result.decoded != msg or result.tie
-
-
-def tree_bytes(params: CodeParams) -> int:
-    """Peak bytes of one trial's search when every prefix survives pruning
-    (all gains zero, or an SNR far below the code's reach)."""
-    return (1 << params.n) * (_NODE_BYTES + _NODE_ROW_BYTES * params.L)
-
-
-def trials_per_block(params: CodeParams) -> int:
-    """Trials one `count_errors` pass searches together: as many as fit
-    MEMORY_BUDGET in the worst case, whatever the channel draws."""
-    worst = tree_bytes(params)
-    if worst > MEMORY_BUDGET:
-        raise CapacityError(
-            f"one trial at n={params.n}, L={params.L} may need {worst >> 20} MiB "
-            f"for its search tree, over the {MEMORY_BUDGET >> 20} MiB budget")
-    return MEMORY_BUDGET // worst
 
 
 def count_errors(params: CodeParams, model: FadingModel, sigma: float,

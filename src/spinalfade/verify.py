@@ -60,7 +60,7 @@ def check_pairwise_error_mc(quick: bool = False, seed: int = 0) -> CheckResult:
     Observed value is the worst deviation in units of 3 binomial stderr.
     """
     trials = 100_000 if quick else 1_000_000
-    vectors = 6 if quick else 12
+    vectors = 6 if quick else 20
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(vectors):
@@ -115,7 +115,7 @@ def check_reduction_identities(quick: bool = False, seed: int = 3) -> CheckResul
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, math.pi / 2, size=draws)
     worst = 0.0
-    for _ in range(8):
+    for _ in range(8 if quick else 20):
         sigma = float(rng.uniform(0.1, 10.0))
         omega = float(rng.uniform(0.25, 4.0))
         c = int(rng.integers(1, 9))
@@ -129,27 +129,42 @@ def check_reduction_identities(quick: bool = False, seed: int = 3) -> CheckResul
     return CheckResult("reduction-identities", worst, 1e-12)
 
 
-def check_theta_monotonicity(quick: bool = False, seed: int = 4) -> CheckResult:
-    """Kernels non-decreasing in theta; grid sum dominates the integral.
+def _kernel_draws(rng: np.random.Generator, count: int):
+    """`count` (model, sigma, c, n_sym) draws, the three families in turn."""
+    for model in _draw_models(rng, count):
+        yield (model, float(rng.uniform(0.1, 10.0)), int(rng.integers(1, 9)),
+               int(rng.integers(1, 25)))
 
-    Observed value is the worst violation (most negative step or gap),
-    clipped at zero when everything is in order.
+
+def check_theta_monotonicity(quick: bool = False, seed: int = 4) -> CheckResult:
+    """Kernels non-decreasing in theta over a 1000-point scan, 10 (quick)
+    or 100 draws of each family.
+
+    Observed value is the most negative step, clipped at zero when
+    everything is in order.
     """
-    draws = 10 if quick else 100
     theta = np.linspace(0.0, math.pi / 2, 1_000)
-    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for model, sigma, c, n_sym in _kernel_draws(np.random.default_rng(seed),
+                                                30 if quick else 300):
+        worst = max(worst, float(-np.min(np.diff(kernel(model, theta, sigma, c, n_sym)))))
+    return CheckResult("theta-monotonicity", worst, 1e-12)
+
+
+def check_grid_over_approximation(quick: bool = False, seed: int = 5) -> CheckResult:
+    """The 20-cell right-endpoint grid sum dominates the kernel's integral.
+
+    Observed value is the largest excess of the integral over the grid
+    sum, clipped at zero; any excess at all fails.
+    """
     grid = uniform_theta_grid(20)
     worst = 0.0
-    for model in _draw_models(rng, draws):
-        sigma = float(rng.uniform(0.1, 10.0))
-        c = int(rng.integers(1, 9))
-        n_sym = int(rng.integers(1, 25))
+    for model, sigma, c, n_sym in _kernel_draws(np.random.default_rng(seed),
+                                                10 if quick else 100):
         kern = lambda t: kernel(model, t, sigma, c, n_sym)
-        worst = max(worst, float(-np.min(np.diff(kern(theta)))))
-        integral = quad(kern, 0.0, math.pi / 2, limit=100)[0] / math.pi
-        grid_sum = float((grid.weights * kern(grid.thetas[1:])).sum())
-        worst = max(worst, integral - grid_sum)
-    return CheckResult("theta-monotonicity", max(worst, 0.0), 1e-12)
+        integral = quad(kern, 0.0, math.pi / 2, limit=200)[0] / math.pi
+        worst = max(worst, integral - float((grid.weights * kern(grid.thetas[1:])).sum()))
+    return CheckResult("grid-over-approximation", worst, 0.0)
 
 
 def check_pdf_moments(quick: bool = False) -> CheckResult:
@@ -170,6 +185,7 @@ ALL_CHECKS = (
     check_kernel_vs_quadrature,
     check_reduction_identities,
     check_theta_monotonicity,
+    check_grid_over_approximation,
     check_pdf_moments,
 )
 

@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from spinalfade import (
     CodeParams,
@@ -20,11 +19,7 @@ from spinalfade import (
     Message,
     brute_force_decode,
     encode,
-    kernel,
-    kernel_grid_sum,
     ml_decode,
-    pairwise_error_mc,
-    q_craig,
     sweep,
     transmit,
     uniform_theta_grid,
@@ -113,80 +108,32 @@ def test_criterion_3_closed_form_integrals():
 
 
 def test_criterion_4_pairwise_error_statistics():
-    rng = np.random.default_rng(11)
-    sigma = 1.0
-    trials = 1_000_000
     start = time.perf_counter()
-    worst = 0.0
-    dims = list(range(1, 25)) * 2
-    for i in range(20):
-        dim = dims[int(rng.integers(0, len(dims)))]
-        v = rng.normal(size=dim)
-        v *= float(rng.uniform(0.5, 4.0)) / np.linalg.norm(v)
-        p_hat = pairwise_error_mc(v, sigma, trials, CounterStream(1_000 + i))
-        p_ref = q_craig(float(np.linalg.norm(v)) / (2 * sigma), resolution=400)
-        stderr = math.sqrt(p_ref * (1.0 - p_ref) / trials)
-        worst = max(worst, abs(p_hat - p_ref) / (3.0 * stderr))
+    check = verify.check_pairwise_error_mc(quick=False, seed=11)
     elapsed = time.perf_counter() - start
-    ok = worst <= 1.0 and elapsed < 120.0
+    ok = check.passed and check.tolerance == 1.0 and elapsed < 120.0
     report(4, "pairwise error statistics", ok,
            f"20 vectors, dims 1-24, 1e6 trials each; worst deviation = "
-           f"{worst:.2f} x (3 stderr); runtime {elapsed:.1f}s < 120s")
+           f"{check.observed:.2f} x (3 stderr); runtime {elapsed:.1f}s < 120s")
 
 
 def test_criterion_5_reduction_identities():
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    evaluations = 0
-    while evaluations < 10_000:
-        theta = rng.uniform(0.0, math.pi / 2, size=500)
-        sigma = float(rng.uniform(0.1, 10.0))
-        omega = float(rng.uniform(0.25, 4.0))
-        c = int(rng.integers(1, 9))
-        n_sym = int(rng.integers(1, 25))
-        ray = kernel(FadingModel.rayleigh(omega), theta, sigma, c, n_sym)
-        nak = kernel(FadingModel.nakagami(1.0, omega), theta, sigma, c, n_sym)
-        ric = kernel(FadingModel.rician(0.0, omega), theta, sigma, c, n_sym)
-        worst = max(worst,
-                    float(np.max(np.abs(nak - ray) / ray)),
-                    float(np.max(np.abs(ric - ray) / ray)))
-        evaluations += theta.size
-    ok = worst <= 1e-12
+    check = verify.check_reduction_identities(quick=False, seed=5)
+    ok = check.passed and check.tolerance == 1e-12
     report(5, "reduction identities", ok,
-           f"{evaluations} evaluations; worst relative gap = {worst:.2e} <= 1e-12")
+           f"20 parameter draws x 10000 thetas; worst relative gap = "
+           f"{check.observed:.2e} <= 1e-12")
 
 
 def test_criterion_6_monotonicity_and_over_approximation():
-    rng = np.random.default_rng(6)
-    theta = np.linspace(0.0, math.pi / 2, 1_000)
-    grid = uniform_theta_grid(20)
-    worst_step = 0.0
-    worst_gap = np.inf
-    for i in range(100):
-        omega = float(rng.uniform(0.25, 4.0))
-        sigma = float(rng.uniform(0.1, 10.0))
-        c = int(rng.integers(1, 9))
-        n_sym = int(rng.integers(1, 25))
-        m = float(rng.uniform(0.5, 4.0))
-        K = float(rng.uniform(0.0, 4.0))
-        for family in (FadingModel.rayleigh(omega), FadingModel.nakagami(m, omega),
-                       FadingModel.rician(K, omega)):
-            vals = kernel(family, theta, sigma, c, n_sym)
-            worst_step = max(worst_step, float(-np.min(np.diff(vals))))
-        if i % 3 == 0:
-            model = FadingModel.rayleigh(omega)
-        elif i % 3 == 1:
-            model = FadingModel.nakagami(m, omega)
-        else:
-            model = FadingModel.rician(K, omega)
-        grid_sum = kernel_grid_sum(model, n_sym, sigma, c, grid)
-        integral = quad(lambda t: kernel(model, t, sigma, c, n_sym),
-                        0.0, math.pi / 2, limit=200)[0] / math.pi
-        worst_gap = min(worst_gap, grid_sum - integral)
-    ok = worst_step <= 1e-12 and worst_gap >= 0.0
+    steps = verify.check_theta_monotonicity(quick=False, seed=6)
+    gap = verify.check_grid_over_approximation(quick=False, seed=6)
+    ok = (steps.passed and steps.tolerance == 1e-12
+          and gap.passed and gap.tolerance == 0.0)
     report(6, "theta monotonicity and over-approximation", ok,
-           f"100 draws x 1000-point grid; worst downward step = {worst_step:.2e}; "
-           f"min(grid sum - integral) = {worst_gap:+.2e} >= 0")
+           f"100 draws x 3 families x 1000-point grid; worst downward step = "
+           f"{steps.observed:.2e}; 100 draws, max(integral - grid sum) = "
+           f"{gap.observed:+.2e} <= 0")
 
 
 def test_criterion_7_decoder_oracle_equivalence():

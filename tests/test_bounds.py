@@ -22,11 +22,11 @@ from spinalfade import (
     pairwise_error_mc,
     pe_bound,
     q_craig,
-    segment_error_bound,
     snr_to_sigma,
     tail_symbols,
     uniform_theta_grid,
 )
+from spinalfade import bounds
 
 HALF_PI = math.pi / 2
 
@@ -169,26 +169,45 @@ def test_tail_symbols():
     params = CodeParams(n=8, k=2, c=8, L=6)
     assert tail_symbols(params, 1) == 24
     assert tail_symbols(params, 4) == 6
-    with pytest.raises(ValueError):
-        tail_symbols(params, 0)
-    with pytest.raises(ValueError):
-        tail_symbols(params, 5)
+    assert tail_symbols(params, np.arange(1, 5)).tolist() == [24, 18, 12, 6]
+    for bad in (0, 5, np.array([0, 1, 2]), np.array([3, 4, 5])):
+        with pytest.raises(ValueError):
+            tail_symbols(params, bad)
 
 
-def test_segment_bound_clamps_to_one():
-    params = CodeParams(n=8, k=2, c=8, L=6)
-    grid = uniform_theta_grid(20)
-    assert segment_error_bound(1, params, FadingModel.rayleigh(1.0), 1e4, grid) == 1.0
+@pytest.mark.parametrize("model", [
+    FadingModel.rayleigh(1.0), FadingModel.nakagami(2.0, 1.0), FadingModel.rician(0.5, 1.0),
+], ids=["rayleigh", "nakagami", "rician"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("c", [1, 4, 8])
+@pytest.mark.parametrize("N", [1, 20, 333])
+def test_segment_bounds_are_clamped_grid_sums(model, k, c, N):
+    # Segment a: (2^k - 1) * 2^(n - a*k) candidates first differ there,
+    # each bounded by the grid sum over its tail symbols; clamped to 1,
+    # which sigma = 1e4 reaches at segment 1.
+    params = CodeParams(n=4 * k, k=k, c=c, L=6)
+    grid = uniform_theta_grid(N)
+    for sigma in (0.3, 3.0, 1e4):
+        eps = pe_bound(params, model, sigma, grid).segment_bounds
+        for a in range(1, params.num_segments + 1):
+            mult = ((1 << k) - 1) * 2.0 ** (params.n - a * k)
+            grid_sum = kernel_grid_sum(model, tail_symbols(params, a), sigma, c, grid)
+            assert eps[a - 1] == min(1.0, mult * grid_sum)
+    assert pe_bound(params, model, 1e4, grid).segment_bounds[0] == 1.0
 
 
-def test_segment_bound_multiplicity():
-    params = CodeParams(n=8, k=2, c=8, L=6)
-    model = FadingModel.rician(0.5, 1.0)
-    grid = uniform_theta_grid(20)
-    sigma = 3.0
-    # last segment: (2^k - 1) * 2^0 = 3 competing candidates
-    expected = min(1.0, 3.0 * kernel_grid_sum(model, 6, sigma, 8, grid))
-    assert segment_error_bound(4, params, model, sigma, grid) == pytest.approx(expected, rel=1e-14)
+def test_pe_bound_calls_kernel_once(monkeypatch):
+    calls = []
+    pristine = bounds.kernel
+
+    def counted(*args):
+        calls.append(args)
+        return pristine(*args)
+
+    monkeypatch.setattr(bounds, "kernel", counted)
+    pe_bound(CodeParams(n=8, k=2, c=8, L=6), FadingModel.rayleigh(1.0), 1.0,
+             uniform_theta_grid(20))
+    assert len(calls) == 1
 
 
 def test_pe_bound_saturates_in_deep_noise():

@@ -179,6 +179,12 @@ def test_theta_grid_over_memory_budget_exit_one(capsys):
     assert_one_line_error(capsys, ["bound", "--theta-points", "100000000"])
 
 
+def test_theta_grid_budget_counts_segment_rows(capsys):
+    # c=1: 30 MiB of pair terms, but one kernel row per segment (n/k = 8)
+    assert_one_line_error(capsys, ["bound", "--n", "8", "--k", "1", "--c", "1",
+                                   "--theta-points", "4000000"])
+
+
 def test_program_bug_is_not_a_configuration_error(monkeypatch):
     def broken(config):
         raise ValueError("internal bug")

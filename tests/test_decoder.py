@@ -1,6 +1,7 @@
 """Decoder tests: cost contract, oracle equivalence, tie semantics."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -157,6 +158,17 @@ def test_capacity_guards():
                               received=np.zeros((17, 1)), sigma=1.0)
     with pytest.raises(CapacityError):
         brute_force_decode(real, mid)
+
+
+def test_ml_decode_over_memory_budget_raises_quickly():
+    # n=20, k=2, L=6: a search that prunes nothing needs 272 MiB
+    params = CodeParams(n=20, k=2, c=8, L=6)
+    real = ChannelRealization(gains=np.zeros((10, 6)),
+                              received=np.zeros((10, 6)), sigma=1.0)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        ml_decode(real, params)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_decode_rejects_shape_mismatch():

@@ -20,7 +20,7 @@ from spinalfade import (
     uniform_theta_grid,
 )
 
-from spinalfade import sim
+from spinalfade import decoder, sim
 
 PARAMS = CodeParams(n=8, k=2, c=8, v=32, L=6)
 SMALL = CodeParams(n=4, k=2, c=4, v=32, L=2)
@@ -92,15 +92,15 @@ def test_frontier_matches_scalar_loop(params, model, snr_db, fixed_gain, start):
 
 
 def test_paper_batch_is_searched_in_one_block():
-    assert sim.trials_per_block(PARAMS) >= sim.DEFAULT_BATCH
+    assert decoder.trials_per_block(PARAMS) >= sim.DEFAULT_BATCH
 
 
 @pytest.mark.parametrize("fixed_gain, snr_db", [(0.0, 10.0), (None, 0.0)])
 def test_split_blocks_match_scalar_loop(monkeypatch, fixed_gain, snr_db):
     # n=16 with a budget of two worst-case trials: 5 trials in 3 blocks
     params = CodeParams(n=16, k=2, c=8, v=32, L=2)
-    monkeypatch.setattr(sim, "MEMORY_BUDGET", 2 * sim.tree_bytes(params))
-    assert sim.trials_per_block(params) == 2
+    monkeypatch.setattr(decoder, "MEMORY_BUDGET", 2 * decoder.tree_bytes(params))
+    assert decoder.trials_per_block(params) == 2
     model = FadingModel.rayleigh(1.0)
     sigma = snr_to_sigma(snr_db, model, params.c)
     loop = scalar_loop(params, model, sigma, 2, 3, 5, fixed_gain)
@@ -108,7 +108,7 @@ def test_split_blocks_match_scalar_loop(monkeypatch, fixed_gain, snr_db):
 
 
 def test_trial_over_budget_is_capacity_error(monkeypatch):
-    monkeypatch.setattr(sim, "MEMORY_BUDGET", sim.tree_bytes(PARAMS) - 1)
+    monkeypatch.setattr(decoder, "MEMORY_BUDGET", decoder.tree_bytes(PARAMS) - 1)
     with pytest.raises(CapacityError):
         count_errors(PARAMS, FadingModel.rayleigh(1.0), 1.0, 0, 0, 1)
 
