@@ -18,6 +18,7 @@ constellation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,20 +144,15 @@ def pdf(model: FadingModel, h) -> np.ndarray:
 
 
 def transmit(symbols: np.ndarray, model: FadingModel, sigma: float,
-             rand: CounterStream, fixed_gain: float | None = None) -> ChannelRealization:
+             rand: CounterStream) -> ChannelRealization:
     """Send a symbol matrix through the fading channel.
 
-    Gains are drawn first (row-major), then noise, so the stream layout is
-    fixed.  `fixed_gain` is a test hook that replaces the fading draw with a
-    constant gain; it consumes no random values.
+    Gains are drawn first (row-major), then noise, so the stream layout is fixed.
     """
     if not sigma > 0:
         raise ConfigurationError(f"sigma must be > 0, got {sigma}")
     symbols = np.asarray(symbols, dtype=np.float64)
-    if fixed_gain is not None:
-        gains = np.full(symbols.shape, float(fixed_gain))
-    else:
-        gains = sample_gains(model, symbols.size, rand).reshape(symbols.shape)
+    gains = sample_gains(model, symbols.size, rand).reshape(symbols.shape)
     noise = sigma * rand.normals(symbols.size).reshape(symbols.shape)
     return ChannelRealization(gains=gains, received=gains * symbols + noise,
                               sigma=float(sigma))
@@ -174,6 +170,12 @@ def snr_to_sigma(snr_db: float, model: FadingModel, c: int) -> float:
     """Noise level giving the requested SNR in dB.
 
     SNR = omega * E[f(X)^2] / sigma^2, uncentered second moment of the raw
-    constellation (see module note).
+    constellation (see module note); sigma must come out finite and > 0.
     """
-    return float(np.sqrt(model.omega * symbol_energy(c) * 10.0 ** (-snr_db / 10.0)))
+    try:
+        sigma = float(np.sqrt(model.omega * symbol_energy(c) * 10.0 ** (-snr_db / 10.0)))
+    except OverflowError:
+        sigma = math.inf
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ConfigurationError(f"SNR {snr_db} dB gives sigma = {sigma}")
+    return sigma

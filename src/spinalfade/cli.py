@@ -16,7 +16,7 @@ import sys
 import typing
 from dataclasses import asdict, dataclass, fields
 
-from .bounds import pe_bound, uniform_theta_grid
+from .bounds import pe_bound, pe_bound_bytes, uniform_theta_grid
 from .channel import FadingModel, snr_to_sigma
 from .codec import CodeParams, ConfigurationError
 from .decoder import MEMORY_BUDGET, CapacityError
@@ -25,6 +25,9 @@ from .verify import run_checks
 
 CSV_HEADER = ("model,n,k,c,v,L,N,snr_db,sigma,trials,errors,"
               "fer,fer_stderr,pe_bound")
+# Bytes one SNR point's output may hold, per segment bound plus one: JSON
+# `bound` peaks at 2.3 KB per point at n/k = 4 and 42 KB at n/k = 256.
+POINT_BYTES = 512
 
 
 @dataclass(frozen=True)
@@ -67,12 +70,17 @@ class RunConfig:
         raise ConfigurationError(f"unknown model {self.model!r}")
 
     def snr_values(self) -> list[float]:
+        """The SNR grid, refused once its output would not fit MEMORY_BUDGET."""
         if self.snr_step <= 0:
             raise ConfigurationError(
                 f"snr step must be > 0, got {self.snr_step}")
+        most = MEMORY_BUDGET // (POINT_BYTES * (self.code_params().num_segments + 1))
         values = []
         snr = self.snr_start
         while snr <= self.snr_stop + 1e-9 or not values:
+            if len(values) == most:
+                raise CapacityError(f"SNR grid has over {most} points, over the "
+                                    f"{MEMORY_BUDGET >> 20} MiB budget")
             values.append(snr)
             snr = self.snr_start + self.snr_step * len(values)
         return values
@@ -185,10 +193,10 @@ def _emit(config: RunConfig, text: str) -> int:
 
 
 def _code_model_grid(config: RunConfig):
-    """Code, fading model and theta grid; the grid only once a kernel call
-    over it fits MEMORY_BUDGET (N times 2^c - 1 pair terms and n/k rows)."""
+    """Code, fading model and theta grid; the grid only once the peak of a
+    `pe_bound` over it fits MEMORY_BUDGET."""
     params, model = config.code_params(), config.fading_model()
-    need = config.theta_points * ((1 << params.c) - 1 + params.num_segments) * 8
+    need = pe_bound_bytes(model, params, config.theta_points)
     if need > MEMORY_BUDGET:
         raise CapacityError(f"theta-points {config.theta_points} at c={params.c} needs "
                             f"{need >> 20} MiB, over the {MEMORY_BUDGET >> 20} MiB budget")

@@ -107,8 +107,7 @@ def codebook_seed(seed: int, index: int) -> int:
 
 
 def run_trial(params: CodeParams, model: FadingModel, sigma: float,
-              rand: CounterStream, code_seed: int = 0,
-              fixed_gain: float | None = None) -> bool:
+              rand: CounterStream, code_seed: int = 0) -> bool:
     """One frame: encode a random message, transmit, ML-decode.
 
     Returns True on a frame error; a tie on the minimum cost counts as an
@@ -116,14 +115,13 @@ def run_trial(params: CodeParams, model: FadingModel, sigma: float,
     """
     msg = random_message(params, int(rand.raw(1)[0]))
     symbols = encode(msg, params, code_seed)
-    realization = transmit(symbols, model, sigma, rand, fixed_gain=fixed_gain)
+    realization = transmit(symbols, model, sigma, rand)
     result = ml_decode(realization, params, code_seed)
     return result.decoded != msg or result.tie
 
 
 def count_errors(params: CodeParams, model: FadingModel, sigma: float,
-                 seed: int, start: int, count: int,
-                 fixed_gain: float | None = None) -> int:
+                 seed: int, start: int, count: int) -> int:
     """Frame errors among trials [start, start + count), vectorized.
 
     Reproduces `run_trial` over `trial_stream(seed, t)` with code seed
@@ -135,13 +133,12 @@ def count_errors(params: CodeParams, model: FadingModel, sigma: float,
         raise ConfigurationError(f"count must be >= 1, got {count}")
     block = trials_per_block(params)
     return sum(_count_block(params, model, sigma, seed, s,
-                            min(block, start + count - s), fixed_gain)
+                            min(block, start + count - s))
                for s in range(start, start + count, block))
 
 
 def _count_block(params: CodeParams, model: FadingModel, sigma: float,
-                 seed: int, start: int, count: int,
-                 fixed_gain: float | None) -> int:
+                 seed: int, start: int, count: int) -> int:
     rows, L = params.num_segments, params.L
     grid_size = rows * L
     indices = np.arange(start, start + count, dtype=np.uint64)
@@ -150,18 +147,13 @@ def _count_block(params: CodeParams, model: FadingModel, sigma: float,
         absorb(absorb(CODEBOOK_DOMAIN, np.uint64(seed)), indices))
 
     msgs = (stream_at(keys, np.uint64(0)) & np.uint64((1 << params.n) - 1)).astype(np.int64)
-    pos = 1
-    if fixed_gain is not None:
-        gains = np.full((count, rows, L), float(fixed_gain))
-    else:
-        draws = 2 * grid_size if model.kind == RICIAN else grid_size
-        ctr = np.arange(pos, pos + draws, dtype=np.uint64)
-        u = uniforms_from_raw(stream_at(keys[:, None], ctr[None, :]))
-        if model.kind == RICIAN:
-            u = u.reshape(count, grid_size, 2)
-        gains = gains_from_uniforms(model, u).reshape(count, rows, L)
-        pos += draws
-    ctr = np.arange(pos, pos + grid_size, dtype=np.uint64)
+    draws = 2 * grid_size if model.kind == RICIAN else grid_size
+    ctr = np.arange(1, 1 + draws, dtype=np.uint64)
+    u = uniforms_from_raw(stream_at(keys[:, None], ctr[None, :]))
+    if model.kind == RICIAN:
+        u = u.reshape(count, grid_size, 2)
+    gains = gains_from_uniforms(model, u).reshape(count, rows, L)
+    ctr = np.arange(1 + draws, 1 + draws + grid_size, dtype=np.uint64)
     noise = sigma * ndtri(uniforms_from_raw(stream_at(keys[:, None], ctr[None, :])))
     noise = noise.reshape(count, rows, L)
 
@@ -190,18 +182,18 @@ def _count_block(params: CodeParams, model: FadingModel, sigma: float,
 def estimate_fer(params: CodeParams, model: FadingModel, sigma: float,
                  trials: int, seed: int, workers: int = 1,
                  batch: int = DEFAULT_BATCH,
-                 early_stop_errors: int | None = None, min_trials: int = 0,
-                 fixed_gain: float | None = None) -> FerEstimate:
+                 early_stop_errors: int | None = None, min_trials: int = 0) -> FerEstimate:
     """Aggregate `trials` independent trials under the given run seed.
 
     The result depends only on (seed, trials) and the early-stop settings,
-    never on `workers` or `batch`.  Trials run in checkpoints: all of them
-    at once, or, with `early_stop_errors` set, fixed 1000-trial checkpoints
-    after each of which the point halts once at least that many errors
-    have accumulated and at least `min_trials` have run (fixed checkpoints
-    keep early-stopped results reproducible).  Each checkpoint is split
-    into `count_errors` jobs of at most `batch` trials, at least one per
-    worker where it has the trials, and run on `workers` threads.
+    never on `workers` or `batch`.  Trials run in checkpoints of `workers`
+    x `batch` trials, or, with `early_stop_errors` set, fixed 1000-trial
+    checkpoints after each of which the point halts once at least that many
+    errors have accumulated and at least `min_trials` have run (fixed
+    checkpoints keep early-stopped results reproducible).  Each checkpoint
+    is split into `count_errors` jobs of at most `batch` trials, at least
+    one per worker where it has the trials, and run on `workers` threads;
+    only one checkpoint's jobs exist at a time.
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
@@ -211,10 +203,10 @@ def estimate_fer(params: CodeParams, model: FadingModel, sigma: float,
     if (early_stop_errors is not None and early_stop_errors < 1) or min_trials < 0:
         raise ConfigurationError(f"early stop must be >= 1 and min trials >= 0, "
                                  f"got {early_stop_errors} and {min_trials}")
-    step = trials if early_stop_errors is None else EARLY_STOP_BLOCK
+    step = workers * batch if early_stop_errors is None else EARLY_STOP_BLOCK
 
     def job(span):
-        return count_errors(params, model, sigma, seed, *span, fixed_gain)
+        return count_errors(params, model, sigma, seed, *span)
 
     errors = 0
     done = 0

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
@@ -56,12 +58,9 @@ def test_uniform_grid_rejects_zero():
 
 
 def test_theta_grid_validation():
-    with pytest.raises(ConfigurationError):
-        ThetaGrid.from_thetas([0.0, 0.3, 0.2, HALF_PI])
-    with pytest.raises(ConfigurationError):
-        ThetaGrid.from_thetas([0.1, HALF_PI])
-    with pytest.raises(ConfigurationError):
-        ThetaGrid(thetas=np.array([0.0, HALF_PI]), weights=np.array([0.4]))
+    for N in (0, -3):
+        with pytest.raises(ConfigurationError):
+            ThetaGrid(N)
 
 
 # --- kernels: frozen values and identities ----------------------------------
@@ -215,6 +214,33 @@ def test_pe_bound_saturates_in_deep_noise():
     result = pe_bound(params, FadingModel.rayleigh(1.0), 1e5, uniform_theta_grid(20))
     assert np.all(result.segment_bounds == 1.0)
     assert result.pe == 1.0
+
+
+SHAPE = {"nakagami": "m", "rician": "K"}
+IN_RANGE = dict(omega=st.sampled_from([1e-6, 1e6]) | st.floats(1e-6, 1e6),
+                m=st.sampled_from([0.5, 8.0]) | st.floats(0.5, 8.0),
+                K=st.sampled_from([0.0, 8.0]) | st.floats(0.0, 8.0))
+OUT_OF_RANGE = dict(omega=st.floats(max_value=0.0) | st.just(math.nan),
+                    m=st.floats(max_value=0.4999) | st.just(math.nan),
+                    K=st.floats(max_value=-1e-9) | st.just(math.nan))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["rayleigh", "nakagami", "rician"]), st.data())
+def test_fading_model_ranges(kind, data):
+    names = ["omega"] + ([SHAPE[kind]] if kind in SHAPE else [])
+    out = data.draw(st.sampled_from([None, *names]))
+    fields = {name: data.draw((OUT_OF_RANGE if name == out else IN_RANGE)[name])
+              for name in names}
+    if out is not None:
+        with pytest.raises(ConfigurationError):
+            FadingModel(kind=kind, **fields)
+        return
+    model = FadingModel(kind=kind, **fields)
+    c = data.draw(st.integers(1, 8))
+    sigma = snr_to_sigma(data.draw(st.floats(-300.0, 300.0)), model, c)
+    result = pe_bound(CodeParams(n=8, k=2, c=c, L=6), model, sigma, uniform_theta_grid(20))
+    assert 0.0 <= result.pe <= 1.0
 
 
 def test_pe_bound_chains_segments():

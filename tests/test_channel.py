@@ -103,11 +103,11 @@ def test_pdf_rician_large_argument_finite():
     assert np.all(np.isfinite(vals)) and np.all(vals >= 0)
 
 
-def test_transmit_noiseless_unit_gain_identity():
+def test_transmit_noiseless_unit_gain_identity(constant_gain):
+    constant_gain(1.0)
     params = CodeParams(n=8, k=2, c=8, L=6)
     symbols = encode(Message(value=201, n=8), params)
-    real = transmit(symbols, FadingModel.rayleigh(1.0), 1e-300,
-                    CounterStream(5), fixed_gain=1.0)
+    real = transmit(symbols, FadingModel.rayleigh(1.0), 1e-300, CounterStream(5))
     assert np.array_equal(real.received, symbols.astype(float))
     assert np.all(real.gains == 1.0)
 

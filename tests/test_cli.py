@@ -1,15 +1,23 @@
 """CLI tests: subcommands, validation exits, output formats, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
+import math
+import tempfile
 import time
-from contextlib import redirect_stdout
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinalfade import cli, verify
+from spinalfade import CapacityError, cli, pe_bound, uniform_theta_grid, verify
 from spinalfade.cli import main
+from spinalfade.decoder import MEMORY_BUDGET
 
 SIM_ARGS = ["--n", "4", "--k", "2", "--c", "4", "--L", "2",
             "--snr-start", "0", "--snr-stop", "8", "--snr-step", "4",
@@ -180,9 +188,107 @@ def test_theta_grid_over_memory_budget_exit_one(capsys):
 
 
 def test_theta_grid_budget_counts_segment_rows(capsys):
-    # c=1: 30 MiB of pair terms, but one kernel row per segment (n/k = 8)
+    # c=1: 15 MiB of pair terms, but two kernel rows per segment (n/k = 8)
     assert_one_line_error(capsys, ["bound", "--n", "8", "--k", "1", "--c", "1",
-                                   "--theta-points", "4000000"])
+                                   "--theta-points", "2000000"])
+
+
+@pytest.mark.parametrize("code", [dict(n=8, k=2, c=8), dict(n=8, k=1, c=1)])
+@pytest.mark.parametrize("family", [dict(model="rayleigh"),
+                                    dict(model="nakagami", m=0.5),
+                                    dict(model="rician", K=1.0)])
+def test_largest_accepted_theta_grid_peaks_under_budget(code, family):
+    config = cli.RunConfig(**code, **family)
+    params, model = config.code_params(), config.fading_model()
+    low, high = 1, 1 << 30                   # accepted, rejected
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            cli._code_model_grid(dataclasses.replace(config, theta_points=mid))
+            low = mid
+        except CapacityError:
+            high = mid
+    tracemalloc.start()
+    try:
+        pe_bound(params, model, 3.0, uniform_theta_grid(low))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= MEMORY_BUDGET < 2 * peak
+
+
+@pytest.mark.parametrize("snr", ["-3100", "-3070", "4000"])
+def test_snr_beyond_sigma_range_exit_one(capsys, snr):
+    # sigma overflows the power, overflows the product, or underflows to 0
+    assert_one_line_error(capsys, ["bound", "--snr-start", snr])
+
+
+def test_snr_grid_over_memory_budget_exit_one(capsys):
+    start = time.perf_counter()
+    assert_one_line_error(capsys, ["bound", "--snr-step", "1e-300"])
+    assert time.perf_counter() - start < 10.0
+
+
+def test_snr_grid_budget_counts_points_and_segments(monkeypatch):
+    # 3 points of 512 bytes for each of 4 segment bounds plus one
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", 3 * cli.POINT_BYTES * 5)
+    config = cli.RunConfig(n=8, k=2, snr_start=0.0, snr_step=1.0, snr_stop=2.0)
+    assert config.snr_values() == [0.0, 1.0, 2.0]
+    with pytest.raises(CapacityError):
+        dataclasses.replace(config, snr_stop=3.0).snr_values()
+    with pytest.raises(CapacityError):
+        dataclasses.replace(config, k=1).snr_values()
+
+
+IN_RANGE = dict(
+    model=st.sampled_from(["rayleigh", "nakagami", "rician"]),
+    omega=st.sampled_from([1e-6, 1e6]) | st.floats(1e-6, 1e6),
+    m=st.sampled_from([0.5, 8.0]) | st.floats(0.5, 8.0),
+    K=st.sampled_from([0.0, 8.0]) | st.floats(0.0, 8.0),
+    n=st.sampled_from([4, 8, 12]), k=st.sampled_from([1, 2, 4]),
+    # c up to 12 keeps an example fast; larger c only makes the rows longer
+    c=st.integers(1, 12), v=st.integers(1, 64), L=st.integers(1, 8),
+    snr_start=st.floats(-300.0, 300.0), snr_stop=st.floats(-300.0, 300.0),
+    snr_step=st.floats(5.0, 600.0), theta_points=st.integers(1, 32),
+    seed=st.integers(0, 10), format=st.sampled_from(["csv", "json"]),
+)
+OUT_OF_RANGE = dict(
+    model=st.sampled_from(["weibull", ""]),
+    omega=st.floats(max_value=0.0) | st.just(math.nan),
+    m=st.floats(max_value=0.49) | st.just(math.nan),
+    K=st.floats(max_value=-1e-9) | st.just(math.nan),
+    n=st.sampled_from([0, -4, 9, "8"]), k=st.sampled_from([0, 3, 9]),
+    c=st.sampled_from([0, 17]), v=st.sampled_from([0, 65]), L=st.sampled_from([0, -1]),
+    snr_start=st.sampled_from([math.inf, "0"]), snr_stop=st.just(-math.inf),
+    snr_step=st.floats(max_value=0.0), theta_points=st.sampled_from([0, -1, 1 << 40]),
+    seed=st.just(-1), format=st.sampled_from(["xml", 1]),
+)
+
+
+@st.composite
+def bound_configs(draw):
+    conf = {}
+    for key in draw(st.sets(st.sampled_from(sorted(IN_RANGE)))):
+        bad = draw(st.integers(0, 9)) == 0
+        conf[key] = draw((OUT_OF_RANGE if bad else IN_RANGE)[key])
+    return conf
+
+
+@settings(max_examples=100, deadline=None)
+@given(bound_configs())
+def test_random_bound_config_exits_cleanly(conf):
+    # NaN and infinity are written as the JSON extensions Python reads back
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "conf.json"
+        path.write_text(json.dumps(conf))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["bound", "--config", str(path)])
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue().count("\n") >= 1
+    else:
+        assert code == 1
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_program_bug_is_not_a_configuration_error(monkeypatch):

@@ -63,12 +63,12 @@ def test_candidate_cost_nonnegative():
         assert candidate_cost(Message(value=value, n=4), real, params) >= 0.0
 
 
-def test_ml_decode_noiseless_recovers_message():
+def test_ml_decode_noiseless_recovers_message(constant_gain):
+    constant_gain(1.0)
     params = CodeParams(n=8, k=2, c=8, L=6)
     msg = Message(value=171, n=8)
     symbols = encode(msg, params)
-    real = transmit(symbols, FadingModel.rayleigh(1.0), 1e-300,
-                    CounterStream(3), fixed_gain=1.0)
+    real = transmit(symbols, FadingModel.rayleigh(1.0), 1e-300, CounterStream(3))
     result = ml_decode(real, params)
     assert result.decoded == msg
     assert result.min_cost == pytest.approx(0.0, abs=1e-200)
@@ -127,14 +127,14 @@ def find_colliding_pair(params, seed=0):
     raise AssertionError("no collision found; widen the search")
 
 
-def test_forced_hash_collision_produces_tie():
+def test_forced_hash_collision_produces_tie(constant_gain):
     # Noiseless channel: the transmitted message and its collision partner
     # both sit at cost zero, so the minimum is tied.
+    constant_gain(1.0)
     params = CodeParams(n=8, k=2, c=2, v=4, L=2)
     first, second = find_colliding_pair(params)
     symbols = encode(Message(value=first, n=params.n), params)
-    real = transmit(symbols, FadingModel.rayleigh(1.0), 1e-300,
-                    CounterStream(7), fixed_gain=1.0)
+    real = transmit(symbols, FadingModel.rayleigh(1.0), 1e-300, CounterStream(7))
     b = brute_force_decode(real, params)
     assert b.tie
     assert b.decoded.value == min(first, second)
@@ -193,8 +193,12 @@ def decode_cases(draw):
     symbols = encode(Message(value=draw(st.integers(0, (1 << n) - 1)), n=n),
                      params, code_seed)
     stream = CounterStream(draw(st.integers(0, 2 ** 63)))
-    return params, code_seed, transmit(symbols, model, sigma, stream,
-                                       fixed_gain=draw(st.sampled_from([None, 0.0])))
+    if draw(st.booleans()):
+        return params, code_seed, transmit(symbols, model, sigma, stream)
+    # zero gain: every candidate ties on the pure-noise frame
+    received = sigma * stream.normals(symbols.size).reshape(symbols.shape)
+    return params, code_seed, ChannelRealization(
+        gains=np.zeros_like(received), received=received, sigma=sigma)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,8 @@
 """Simulation tests: trial semantics, reproducibility, batched-vs-scalar
 equivalence, sweep structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,26 +28,28 @@ PARAMS = CodeParams(n=8, k=2, c=8, v=32, L=6)
 SMALL = CodeParams(n=4, k=2, c=4, v=32, L=2)
 
 
-def scalar_loop(params, model, sigma, seed, start, count, fixed_gain=None):
+def scalar_loop(params, model, sigma, seed, start, count):
     """Errors of the scalar reference path, trial by trial."""
     return sum(
         run_trial(params, model, sigma, trial_stream(seed, t),
-                  code_seed=codebook_seed(seed, t), fixed_gain=fixed_gain)
+                  code_seed=codebook_seed(seed, t))
         for t in range(start, start + count)
     )
 
 
-def test_run_trial_noiseless_unit_gain_succeeds():
+def test_run_trial_noiseless_unit_gain_succeeds(constant_gain):
+    constant_gain(1.0)
     for t in range(20):
         assert not run_trial(PARAMS, FadingModel.rayleigh(1.0), 1e-9,
-                             trial_stream(0, t), fixed_gain=1.0)
+                             trial_stream(0, t))
 
 
-def test_run_trial_zero_gain_is_tie_error():
+def test_run_trial_zero_gain_is_tie_error(constant_gain):
     # all candidates equidistant from pure noise: tie, counted as error
+    constant_gain(0.0)
     for t in range(10):
         assert run_trial(PARAMS, FadingModel.rayleigh(1.0), 1.0,
-                         trial_stream(1, t), fixed_gain=0.0)
+                         trial_stream(1, t))
 
 
 def test_trial_stream_is_per_index_deterministic():
@@ -74,7 +78,7 @@ def test_batched_matches_scalar_loop(model):
     assert count_errors(PARAMS, model, sigma, seed, 0, trials) == loop
 
 
-@pytest.mark.parametrize("params, model, snr_db, fixed_gain, start", [
+@pytest.mark.parametrize("params, model, snr_db, gain, start", [
     # 30 dB: the frontier is the sent path plus its siblings
     (PARAMS, FadingModel.rician(1.0, 1.0), 30.0, None, 0),
     # zero gain: every candidate ties, so nothing is pruned
@@ -85,26 +89,30 @@ def test_batched_matches_scalar_loop(model):
     (CodeParams(n=9, k=3, c=6, v=32, L=2), FadingModel.rician(0.5, 1.0), 4.0, None, 0),
     (PARAMS, FadingModel.nakagami(2.0, 1.0), 2.0, None, 12_345),
 ])
-def test_frontier_matches_scalar_loop(params, model, snr_db, fixed_gain, start):
+def test_frontier_matches_scalar_loop(constant_gain, params, model, snr_db, gain, start):
+    if gain is not None:
+        constant_gain(gain)
     sigma = snr_to_sigma(snr_db, model, params.c)
-    loop = scalar_loop(params, model, sigma, 11, start, 300, fixed_gain)
-    assert count_errors(params, model, sigma, 11, start, 300, fixed_gain) == loop
+    loop = scalar_loop(params, model, sigma, 11, start, 300)
+    assert count_errors(params, model, sigma, 11, start, 300) == loop
 
 
 def test_paper_batch_is_searched_in_one_block():
     assert decoder.trials_per_block(PARAMS) >= sim.DEFAULT_BATCH
 
 
-@pytest.mark.parametrize("fixed_gain, snr_db", [(0.0, 10.0), (None, 0.0)])
-def test_split_blocks_match_scalar_loop(monkeypatch, fixed_gain, snr_db):
+@pytest.mark.parametrize("gain, snr_db", [(0.0, 10.0), (None, 0.0)])
+def test_split_blocks_match_scalar_loop(monkeypatch, constant_gain, gain, snr_db):
     # n=16 with a budget of two worst-case trials: 5 trials in 3 blocks
     params = CodeParams(n=16, k=2, c=8, v=32, L=2)
     monkeypatch.setattr(decoder, "MEMORY_BUDGET", 2 * decoder.tree_bytes(params))
     assert decoder.trials_per_block(params) == 2
+    if gain is not None:
+        constant_gain(gain)
     model = FadingModel.rayleigh(1.0)
     sigma = snr_to_sigma(snr_db, model, params.c)
-    loop = scalar_loop(params, model, sigma, 2, 3, 5, fixed_gain)
-    assert count_errors(params, model, sigma, 2, 3, 5, fixed_gain) == loop
+    loop = scalar_loop(params, model, sigma, 2, 3, 5)
+    assert count_errors(params, model, sigma, 2, 3, 5) == loop
 
 
 def test_trial_over_budget_is_capacity_error(monkeypatch):
@@ -113,9 +121,9 @@ def test_trial_over_budget_is_capacity_error(monkeypatch):
         count_errors(PARAMS, FadingModel.rayleigh(1.0), 1.0, 0, 0, 1)
 
 
-def test_estimate_fer_noiseless_unit_gain_zero():
-    est = estimate_fer(PARAMS, FadingModel.rayleigh(1.0), 1e-9, 1_000, seed=0,
-                       fixed_gain=1.0)
+def test_estimate_fer_noiseless_unit_gain_zero(constant_gain):
+    constant_gain(1.0)
+    est = estimate_fer(PARAMS, FadingModel.rayleigh(1.0), 1e-9, 1_000, seed=0)
     assert est.fer == 0.0
 
 
@@ -185,6 +193,20 @@ def test_early_stop_uses_workers_and_batch(monkeypatch):
                            batch=batch, early_stop_errors=100)
         assert (alt.trials, alt.errors) == (base.trials, base.errors)
         assert sum(counts) == alt.trials and max(counts) <= 250
+
+
+def test_checkpoints_hold_workers_times_batch_jobs(monkeypatch):
+    # without early stop, only one checkpoint's jobs and futures are held
+    monkeypatch.setattr(sim, "count_errors", lambda *args: 0)
+    tracemalloc.start()
+    try:
+        est = estimate_fer(PARAMS, FadingModel.rayleigh(1.0), 1.0, 20_000, seed=0,
+                           workers=2, batch=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (est.trials, est.errors) == (20_000, 0)
+    assert peak < 1 << 20
 
 
 def test_estimate_fer_rejects_bad_workers_and_batch():
