@@ -115,7 +115,12 @@ def kernel(model: FadingModel, theta, sigma: float, c: int, n_sym):
     theta = np.asarray(theta, dtype=np.float64)
     scale, pair_terms = _family(model)
     d, w, diag = _pair_profile(c)
-    b = 8.0 * scale * sigma * sigma * np.sin(theta) ** 2
+    b_top = 8.0 * scale * sigma * sigma
+    if not math.isfinite(b_top):
+        raise ConfigurationError(
+            f"kernel scale 8 * {scale:g} * sigma^2 overflows "
+            f"(sigma = {sigma:g}, omega = {model.omega:g})")
+    b = b_top * np.sin(theta) ** 2
     frac = b[..., None] / (model.omega * d * d + b[..., None])
     out = np.exp(n_sym * np.log(diag + pair_terms(w, frac).sum(axis=-1)))
     return float(out) if theta.ndim == 0 else out
@@ -168,8 +173,12 @@ def pe_bound(params: CodeParams, model: FadingModel, sigma: float,
     a = np.arange(1, params.num_segments + 1)
     sums = kernel_grid_sum(model, tail_symbols(params, a)[:, None], sigma,
                            params.c, grid)
-    mult = ((1 << params.k) - 1) * 2.0 ** (params.n - a * params.k)
-    eps = np.fmin(1.0, mult * sums)     # a nan sum (sigma = inf) clamps to 1
+    # From n - a*k near 1024 on, the multiplicity overflows to inf; inf * sum
+    # is inf, or nan where the sum underflowed to 0, and np.fmin clamps both
+    # to 1, which is still a valid bound.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mult = ((1 << params.k) - 1) * 2.0 ** (params.n - a * params.k)
+        eps = np.fmin(1.0, mult * sums)
     return BoundResult(segment_bounds=eps, pe=float(1.0 - np.prod(1.0 - eps)))
 
 

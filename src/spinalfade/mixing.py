@@ -29,6 +29,7 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _U53 = 2.0 ** -53
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def mix64(x) -> np.ndarray:
@@ -58,8 +59,12 @@ def stream_at(key, counters) -> np.ndarray:
 
 
 def uniforms_from_raw(raw: np.ndarray) -> np.ndarray:
-    """Map raw 64-bit words to doubles in the open interval (0, 1)."""
-    return ((raw >> _S11).astype(np.float64) + 0.5) * _U53
+    """Map raw 64-bit words to doubles in the open interval (0, 1).
+
+    The top 53 bits k give (k + 1/2) 2^-53; for k = 2^53 - 1 that rounds to
+    1.0, so the result is clamped to the largest double below 1.
+    """
+    return np.minimum(((raw >> _S11).astype(np.float64) + 0.5) * _U53, _BELOW_ONE)
 
 
 class CounterStream:

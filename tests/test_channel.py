@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import gammaincinv
 
 from spinalfade import (
     CodeParams,
@@ -21,6 +22,7 @@ from spinalfade import (
     symbol_energy,
     transmit,
 )
+from spinalfade.channel import gains_from_uniforms
 
 ALL_MODELS = [
     FadingModel.rayleigh(1.0),
@@ -64,6 +66,38 @@ def _rayleigh_cdf(h):
 def test_nakagami_m1_is_rayleigh():
     gains = sample_gains(FadingModel.nakagami(1.0, 1.0), 100_000, CounterStream(2))
     assert stats.kstest(gains, _rayleigh_cdf).pvalue > 0.001
+
+
+@pytest.mark.parametrize("m", [2.0, 3.0, 2.5])
+def test_nakagami_squared_gain_is_gamma(m):
+    # integer m draws through the exp/log inverse, m = 2.5 through gammaincinv
+    model = FadingModel.nakagami(m, 1.5)
+    power = sample_gains(model, 100_000, CounterStream(4)) ** 2
+    assert stats.kstest(power, stats.gamma(m, scale=1.5 / m).cdf).pvalue > 0.001
+
+
+# Both tails to the extreme stream values 2^-54 and 1 - 2^-53, a dense
+# middle, and plain stream draws.
+DENSE_U = np.unique(np.concatenate([
+    np.geomspace(2.0 ** -54, 0.5, 20_001),
+    2.0 ** -40 * np.arange(1, 1_001),
+    1.0 - np.geomspace(2.0 ** -53, 0.5, 20_001),
+    np.linspace(2.0 ** -54, 1.0 - 2.0 ** -53, 100_001),
+    CounterStream(12).uniforms(100_000),
+]))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_integer_m_nakagami_inverse_matches_gammaincinv(m):
+    power = gains_from_uniforms(FadingModel.nakagami(float(m), 2.0), DENSE_U) ** 2
+    exact = (2.0 / m) * gammaincinv(m, DENSE_U)
+    assert np.max(np.abs(power / exact - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [0.5, 1.5, 2.5, 8.5, 9.0])
+def test_other_m_nakagami_is_gammaincinv(m):
+    gains = gains_from_uniforms(FadingModel.nakagami(m, 2.0), DENSE_U)
+    assert np.array_equal(gains, np.sqrt((2.0 / m) * gammaincinv(m, DENSE_U)))
 
 
 def test_rician_k0_is_rayleigh():

@@ -223,6 +223,23 @@ def test_snr_beyond_sigma_range_exit_one(capsys, snr):
     assert_one_line_error(capsys, ["bound", "--snr-start", snr])
 
 
+@pytest.mark.parametrize("args", [
+    ["--omega", "1e303", "--model", "nakagami", "--m", "8", "--snr-stop", "0"],
+    ["--snr-start", "-3035", "--snr-stop", "-3035"],
+])
+def test_kernel_scale_overflow_exit_one(capsys, args):
+    # sigma is finite, but 8 * scale * sigma^2 in the kernel is not
+    assert_one_line_error(capsys, ["bound", *args])
+
+
+def test_multiplicity_overflow_prints_clamped_row(capsys):
+    # 2^(n - k) overflows past n = 1024; the segment bound clamps to 1
+    code, out = run_cli(["bound", "--n", "1100", "--k", "1", "--snr-stop", "0"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert float(parse_csv(out)[0]["pe_bound"]) == 1.0
+
+
 def test_snr_grid_over_memory_budget_exit_one(capsys):
     start = time.perf_counter()
     assert_one_line_error(capsys, ["bound", "--snr-step", "1e-300"])

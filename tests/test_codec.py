@@ -16,6 +16,7 @@ from spinalfade import (
     spine_chain,
 )
 from spinalfade.codec import child_spines, code_keys, symbol_rows
+from spinalfade.mixing import uniforms_from_raw
 
 
 def test_segment_bit_split():
@@ -232,3 +233,12 @@ def test_counter_stream_contract():
     assert np.array_equal(a.raw(10), b.raw(10))
     u = a.uniforms(1_000)
     assert np.all(u > 0) and np.all(u < 1)
+
+
+def test_uniforms_stay_below_one_at_the_largest_word():
+    # the top 53 bits are 2^53 - 1 for the first two words, 2^53 - 2 for the
+    # third; (2^53 - 1/2) 2^-53 rounds to 1.0 and is clamped below it
+    top = np.array([2 ** 64 - 1, 2 ** 64 - 2 ** 11, 2 ** 64 - 2 ** 12], dtype=np.uint64)
+    u = uniforms_from_raw(top)
+    assert u.tolist() == [1.0 - 2.0 ** -53] * 2 + [1.0 - 2.0 ** -52]
+    assert uniforms_from_raw(np.array([0], dtype=np.uint64)).tolist() == [2.0 ** -54]
