@@ -4,12 +4,15 @@ Exit codes: 0 success, 1 invalid configuration (a bad flag, config file
 or value), 2 failed self-check, 3 output I/O failure.  Output is
 deterministic given (config, seed): numbers are serialized in scientific
 notation with 12 significant digits, and the JSON document carries the
-same values as the CSV plus the per-segment bound vector.
+same values as the CSV plus the per-segment bound vector.  Its `config`
+block leaves out the settings that do not change the numbers (the output
+path and the worker count), so its bytes do not depend on them either.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -28,6 +31,8 @@ CSV_HEADER = ("model,n,k,c,v,L,N,snr_db,sigma,trials,errors,"
 # Bytes one SNR point's output may hold, per segment bound plus one: JSON
 # `bound` peaks at 2.3 KB per point at n/k = 4 and 42 KB at n/k = 256.
 POINT_BYTES = 512
+# RunConfig fields that change where or how fast a run goes, not its output.
+_NOT_IN_PAYLOAD = ("out", "workers")
 
 
 @dataclass(frozen=True)
@@ -175,7 +180,9 @@ def _render(config: RunConfig, rows: list[dict]) -> str:
                        fer=float(fmt(row["fer"])),
                        fer_stderr=float(fmt(row["fer_stderr"])))
         doc_rows.append(out)
-    doc = {"config": asdict(config), "rows": doc_rows}
+    settings = {key: value for key, value in asdict(config).items()
+                if key not in _NOT_IN_PAYLOAD}
+    doc = {"config": settings, "rows": doc_rows}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -250,7 +257,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: building it costs
+    about as much as the rest of a default `bound` run.  Parsing leaves no
+    state in it, so every `main` call can share it."""
     parser = _Parser(
         prog="spinalfade",
         description="Spinal-code FER bounds and Monte Carlo sweeps over "

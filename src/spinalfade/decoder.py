@@ -75,7 +75,9 @@ def tree_search(expand, received: np.ndarray, gains: np.ndarray,
     """Every leaf whose cost is at most its frame's threshold, as (trial,
     value, cost) arrays sorted by trial and by candidate value.
 
-    `received` and `gains` have shape (B, n/k, L), `threshold` (B,).
+    `received` and `gains` have shape (B, n/k, L), `threshold` (B, n/k):
+    a level-a prefix survives while its partial cost is at most
+    `threshold[trial, a]`, and the last column bounds the leaves.
     `expand(a, trial, nodes)` returns the states (N, 2^k) and symbol rows
     (N, 2^k, L) of the level-a children of N nodes (frames `trial`, states
     `nodes`, 0 at the root).  With `threshold` None it keeps the cheapest
@@ -83,9 +85,18 @@ def tree_search(expand, received: np.ndarray, gains: np.ndarray,
 
     Costs are sums of non-negative row distances added root to leaf, and
     adding a non-negative double never lowers the rounded sum, so a prefix
-    already above the threshold has no leaf within it.  Dropping it changes
-    no surviving leaf's cost, bit for bit.  With nothing to drop (zero
-    gains) the frontier is the whole tree.
+    already above the leaf threshold has no leaf within it: a threshold
+    that is the leaf threshold at every level drops nothing else.  An
+    earlier column may be lower by a lower bound on the cost of any
+    completion, as long as it drops no prefix that still has a leaf within
+    the last column.  `lookahead_thresholds` builds such columns as
+    threshold·(1+1e-12) − tail·(1−1e-9), the tail being the sum over the
+    rows below of each symbol's distance to its nearest point
+    clip(rint(y/h)) (0/0 read as 0, computed under `np.errstate`); the
+    margins cover the few-ulp rounding of a summed leaf cost and the
+    ~2^c-ulp error of rint on a y/h that sits on a half-integer.  Either
+    way the surviving leaves and their costs are the same, bit for bit.
+    With nothing to drop (zero gains) the frontier is the whole tree.
     """
     count = len(received)
     trial = np.arange(count)
@@ -100,11 +111,41 @@ def tree_search(expand, received: np.ndarray, gains: np.ndarray,
         if threshold is None:
             parent, seg = np.arange(len(child_cost)), child_cost.argmin(axis=1)
         else:
-            parent, seg = np.nonzero(child_cost <= threshold[trial, None])
+            parent, seg = np.nonzero(child_cost <= threshold[trial, a, None])
         trial, node = trial[parent], children[parent, seg]
         value = value[parent] * x.shape[1] + seg
         cost = child_cost[parent, seg]
     return trial, value, cost
+
+
+def lookahead_thresholds(received: np.ndarray, gains: np.ndarray, top: int,
+                         threshold: np.ndarray) -> np.ndarray:
+    """Per-level `tree_search` thresholds (B, n/k) that keep exactly the
+    leaves within `threshold` (B,) while dropping prefixes sooner.
+
+    Symbols are integers in 0..`top`.  Row j of any completion costs at
+    least the sum over its L symbols of min_x (y - h·x)², reached at
+    x = clip(rint(y/h), 0, top) (y/h = 0/0, a zero gain with a zero
+    received value, reads as x = 0; any x is then as good).  The bound
+    after level a, `tail`, sums those minima over the rows below it, and
+    column a is threshold·(1+1e-12) − tail·(1−1e-9); the last column is
+    the threshold itself.  The margins cover two rounding errors: the
+    root-to-leaf sum of a leaf cost can differ from the exact sum of its
+    rows by a few ulps, and y/h is rounded, so when it sits on a
+    half-integer rint can pick the farther of the two nearest points,
+    which costs about 2^c ulps.  So no prefix that still has a leaf
+    within the threshold is dropped.  This is the lower-bound pruning of
+    Stojnic, Vikalo & Hassibi (IEEE T-SP 2008).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.clip(np.rint(received / gains), 0, top)
+    x[np.isnan(x)] = 0.0
+    row_min = ((received - gains * x) ** 2).sum(axis=2)
+    tail = np.cumsum(row_min[:, :0:-1], axis=1)[:, ::-1]
+    out = np.empty_like(row_min)
+    out[:, :-1] = threshold[:, None] * (1 + 1e-12) - tail * (1 - 1e-9)
+    out[:, -1] = threshold
+    return out
 
 
 class CandidateTable:
@@ -136,8 +177,9 @@ class CandidateTable:
         the others read +inf.
         """
         greedy = tree_search(self._expand, received, gains, None)[2]
-        trial, value, cost = tree_search(self._expand, received, gains,
-                                         greedy + TIE_TOLERANCE)
+        radius = np.broadcast_to((greedy + TIE_TOLERANCE)[:, None],
+                                 received.shape[:2])
+        trial, value, cost = tree_search(self._expand, received, gains, radius)
         out = np.full((len(received), 1 << self.params.n), np.inf)
         out[trial, value] = cost
         return out

@@ -12,9 +12,13 @@ candidate has cost <= C_s + TIE_TOLERANCE, C_s being the sent cost: that
 is `run_trial`'s rule (the minimizer is not the sent message, or two
 candidates tie on the minimum).  `count_errors` hashes the sent path for
 the received frame and C_s, then asks `decoder.tree_search`, which
-`ml_decode` uses too, for every leaf within that threshold.  At high SNR
-that search touches about 16 of the paper code's 340 nodes; with nothing
-to prune it is the whole tree, so blocks are sized for that worst case.
+`ml_decode` uses too, for every leaf within that threshold.  A prefix is
+dropped once its cost plus a lower bound on any completion passes it
+(`decoder.lookahead_thresholds`).  On the paper code (four paper channels)
+the search hashes about 140 of the 340 nodes per trial at 0 dB, 104 at
+2 dB and 73 at 4 dB (180, 133 and 91 without the lookahead bound), and
+16 to 17 at 16 dB and above, with or without it.  With nothing to prune
+it is the whole tree, so blocks are sized for that worst case.
 
 Re-keying the codebook per trial makes the estimator target the
 ensemble-average error probability, which is the quantity the analytical
@@ -48,7 +52,13 @@ from .codec import (
     random_message,
     symbol_rows,
 )
-from .decoder import TIE_TOLERANCE, ml_decode, tree_search, trials_per_block
+from .decoder import (
+    TIE_TOLERANCE,
+    lookahead_thresholds,
+    ml_decode,
+    tree_search,
+    trials_per_block,
+)
 from .mixing import (
     CODEBOOK_DOMAIN,
     SIM_DOMAIN,
@@ -175,7 +185,9 @@ def _count_block(params: CodeParams, model: FadingModel, sigma: float,
         children = child_spines(hash_keys[trial, None], spines[:, None], segs, params)
         return children, symbol_rows(rng_keys[trial, None], children, params)
 
-    trial, value, _ = tree_search(expand, received, gains, sent_cost + TIE_TOLERANCE)
+    thresholds = lookahead_thresholds(received, gains, params.symbol_mask,
+                                      sent_cost + TIE_TOLERANCE)
+    trial, value, _ = tree_search(expand, received, gains, thresholds)
     return int(np.unique(trial[value != msgs[trial]]).size)
 
 

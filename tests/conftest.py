@@ -1,9 +1,18 @@
-"""Shared fixtures."""
+"""Shared fixtures and the hypothesis profile for CI."""
+
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spinalfade import channel, sim
+
+# On CI a failing example is printed as a blob that `@reproduce_failure`
+# replays locally; example counts and deadlines stay those of each test.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -107,6 +107,17 @@ def test_simulate_worker_count_invariant(tmp_path):
     assert out1.read_bytes() == out4.read_bytes()
 
 
+def test_json_bytes_independent_of_out_path_and_workers(tmp_path):
+    out1 = tmp_path / "w1.json"
+    out4 = tmp_path / "elsewhere-w4.json"
+    assert main(["simulate", *SIM_ARGS, "--format", "json", "--workers", "1",
+                 "--out", str(out1)]) == 0
+    assert main(["simulate", *SIM_ARGS, "--format", "json", "--workers", "4",
+                 "--out", str(out4)]) == 0
+    assert out1.read_bytes() == out4.read_bytes()
+    assert not {"out", "workers"} & set(json.loads(out1.read_text())["config"])
+
+
 def test_csv_and_json_carry_identical_numbers(tmp_path):
     csv_path = tmp_path / "run.csv"
     json_path = tmp_path / "run.json"
@@ -342,6 +353,21 @@ def test_early_stop_flag(tmp_path):
     row = parse_csv(out.read_text())[0]
     assert int(row["errors"]) >= 100
     assert int(row["trials"]) < 50_000
+
+
+def test_flags_leave_no_state_for_the_next_call(tmp_path):
+    # The parser is built once per process; a flag given to one call must
+    # not carry over to the next.
+    assert cli.build_parser() is cli.build_parser()
+    args = ["simulate", "--n", "4", "--k", "2", "--c", "4", "--L", "2",
+            "--snr-start", "0", "--snr-stop", "0", "--trials", "3000",
+            "--seed", "1"]
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main([*args, "--early-stop", "--quick", "--out", str(first)]) == 0
+    assert int(parse_csv(first.read_text())[0]["trials"]) == 1000
+    assert main([*args, "--out", str(second)]) == 0
+    assert int(parse_csv(second.read_text())[0]["trials"]) == 3000
+    assert cli.build_parser().parse_args(["verify"]).quick is False
 
 
 def test_verify_quick_passes():

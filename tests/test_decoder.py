@@ -23,6 +23,7 @@ from spinalfade import (
     sample_gains,
     transmit,
 )
+from spinalfade.decoder import TIE_TOLERANCE, lookahead_thresholds, tree_search
 
 SMALL = CodeParams(n=4, k=2, c=2, v=32, L=2)
 
@@ -228,3 +229,91 @@ def test_candidate_table_costs_batch():
         kept = np.isfinite(row)
         assert kept[np.argmin(exact)]
         np.testing.assert_allclose(row[kept], exact[kept], rtol=1e-9)
+
+
+def sent_path_cost(received, gains, sent):
+    """Costs of the sent leaves, summed root to leaf as `tree_search` does."""
+    cost = np.zeros(len(received))
+    for a in range(received.shape[1]):
+        cost = cost + ((received[:, a] - gains[:, a] * sent[:, a]) ** 2).sum(axis=1)
+    return cost
+
+
+def assert_lookahead_keeps_leaves(params, code_seed, msgs, received, gains,
+                                  threshold):
+    """The lookahead search returns exactly the plain search's leaves."""
+    expand = CandidateTable(params, code_seed)._expand
+    plain = tree_search(expand, received, gains,
+                        np.broadcast_to(threshold[:, None], received.shape[:2]))
+    look = tree_search(expand, received, gains, lookahead_thresholds(
+        received, gains, params.symbol_mask, threshold))
+    for want, got in zip(plain, look):
+        assert want.dtype == got.dtype and np.array_equal(want, got)
+    trial, value, _ = plain
+    assert {(t, v) for t, v in zip(trial, value)} >= set(enumerate(msgs))
+
+
+@st.composite
+def search_cases(draw):
+    k = draw(st.integers(1, 3))
+    n = k * draw(st.integers(1, 10 // k))
+    params = CodeParams(n=n, k=k, c=draw(st.integers(1, 8)),
+                        v=draw(st.one_of(st.integers(1, 4), st.integers(5, 64))),
+                        L=draw(st.integers(1, 4)))
+    model = draw(st.sampled_from([
+        FadingModel.rayleigh(1.0), FadingModel.nakagami(2.0, omega=0.5),
+        FadingModel.rician(1.0, omega=2.0)]))
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    code_seed = draw(st.integers(0, 2 ** 32))
+    msgs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
+    sent = np.stack([encode(Message(value=m, n=n), params, code_seed)
+                     for m in msgs]).astype(np.float64)
+    reals = [transmit(s, model, sigma, CounterStream(draw(st.integers(0, 2 ** 63))))
+             for s in sent]
+    received = np.stack([r.received for r in reals])
+    gains = np.stack([r.gains for r in reals])
+    for i in range(len(msgs)):
+        if draw(st.booleans()):         # zero gain: every leaf ties
+            received[i] -= gains[i] * sent[i]
+            gains[i] = 0.0
+    return params, code_seed, msgs, received, gains, sent
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases(), st.sampled_from([0.0, TIE_TOLERANCE]))
+def test_lookahead_search_matches_plain_search_property(case, slack):
+    params, code_seed, msgs, received, gains, sent = case
+    threshold = sent_path_cost(received, gains, sent) + slack
+    assert_lookahead_keeps_leaves(params, code_seed, msgs, received, gains,
+                                  threshold)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 3.0, 0.1, 1 / 3, 0.7])
+def test_lookahead_keeps_leaf_on_half_integer_ratio(h):
+    # y/h sits on a half-integer at every symbol, so every row of the sent
+    # leaf costs exactly its lower bound (up to rounding) and the sent leaf
+    # sits exactly at the threshold: no margin is left to spare.
+    params = CodeParams(n=8, k=2, c=3, v=32, L=3)
+    msgs = [0, 90, 255]
+    sent = np.stack([encode(Message(value=m, n=8), params)
+                     for m in msgs]).astype(np.float64)
+    gains = np.full(sent.shape, h)
+    received = gains * (sent + 0.5)
+    threshold = sent_path_cost(received, gains, sent)
+    assert_lookahead_keeps_leaves(params, 0, msgs, received, gains, threshold)
+
+
+def test_lookahead_zero_gain_zero_received_reads_as_symbol_zero():
+    # 0/0 in y/h: all of frame 0, and the first row of frame 1, are silent.
+    params = CodeParams(n=6, k=2, c=4, v=32, L=2)
+    msgs = [5, 41]
+    sent = np.stack([encode(Message(value=m, n=6), params)
+                     for m in msgs]).astype(np.float64)
+    gains = np.ones(sent.shape)
+    gains[0] = 0.0
+    gains[1, 0] = 0.0
+    received = gains * sent
+    thresholds = lookahead_thresholds(received, gains, params.symbol_mask,
+                                      np.zeros(2))
+    assert np.all(np.isfinite(thresholds))
+    assert_lookahead_keeps_leaves(params, 0, msgs, received, gains, np.zeros(2))
