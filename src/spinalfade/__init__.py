@@ -29,10 +29,7 @@ from .codec import (
     Message,
     codebook_levels,
     encode,
-    hash_step,
     random_message,
-    segment,
-    spine_chain,
 )
 from .decoder import (
     CandidateTable,

@@ -144,8 +144,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigurationError(f"workers must be >= 1, got {merged['workers']}")
     if merged["trials"] < 1:
         raise ConfigurationError(f"trials must be >= 1, got {merged['trials']}")
-    if merged["seed"] < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {merged['seed']}")
+    if not 0 <= merged["seed"] < 1 << 64:
+        raise ConfigurationError(f"seed must be in 0..2^64-1, got {merged['seed']}")
     if merged["theta_points"] < 1:
         raise ConfigurationError(
             f"theta-points must be >= 1, got {merged['theta_points']}")

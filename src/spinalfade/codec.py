@@ -7,6 +7,11 @@ segment into the previous spine (spine 0 is the all-zero value), and each
 spine seeds a counter-mode generator whose c-bit outputs are the channel
 symbols.  The uniform constellation map sends a c-bit word to its integer
 value, so the symbol matrix holds plain integers in {0, ..., 2^c - 1}.
+
+`child_spines` is the one hashing step.  `encode_rows` walks it down a
+batch of messages at once (`encode` is its one-message case, and the Monte
+Carlo path its batch case), and `codebook_levels` walks it over every
+prefix of the codebook; `symbol_rows` turns spines into symbols for both.
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ class CodeParams:
             raise ConfigurationError(f"v must be in 1..64, got {self.v}")
         if self.L < 1:
             raise ConfigurationError(f"L must be >= 1, got {self.L}")
+        if self.num_segments * self.L > np.iinfo(np.int64).max:
+            raise ConfigurationError(
+                f"(n/k)*L = {self.num_segments * self.L} symbols does not fit int64")
 
     @property
     def num_segments(self) -> int:
@@ -79,48 +87,20 @@ class Message:
             )
 
 
-def _hash_key(seed: int) -> np.ndarray:
-    return absorb(HASH_DOMAIN, np.uint64(seed))
-
-
-def segment(message: Message, params: CodeParams) -> np.ndarray:
-    """Split a message into its n/k k-bit segment values, in order."""
-    if message.n != params.n:
-        raise ConfigurationError(
-            f"message has {message.n} bits, params expect n={params.n}"
-        )
-    mask = (1 << params.k) - 1
-    shifts = range(params.n - params.k, -1, -params.k)
-    return np.array([(message.value >> s) & mask for s in shifts], dtype=np.int64)
-
-
-def hash_step(spine: int, seg: int, params: CodeParams, seed: int = 0) -> int:
-    """One spine update: fold a k-bit segment into a v-bit spine value."""
-    if not 0 <= seg < (1 << params.k):
-        raise ConfigurationError(f"segment {seg} does not fit in k={params.k} bits")
-    h = absorb(absorb(_hash_key(seed), np.uint64(spine)), np.uint64(seg))
-    return int(h) & params.spine_mask
-
-
-def spine_chain(message: Message, params: CodeParams, seed: int = 0) -> np.ndarray:
-    """The n/k spine values of a message; spine i depends on segments 1..i."""
-    segs = segment(message, params)
-    spines = np.zeros(params.num_segments, dtype=np.uint64)
-    state = 0
-    for i, seg_val in enumerate(segs):
-        state = hash_step(state, int(seg_val), params, seed)
-        spines[i] = state
-    return spines
-
-
 def encode(message: Message, params: CodeParams, seed: int = 0) -> np.ndarray:
     """Encode a message into its (n/k) x L symbol matrix.
 
     Row i is generated from spine i, so messages agreeing on segments 1..j
     produce identical rows 1..j.
     """
-    spines = spine_chain(message, params, seed)
-    return symbol_rows(code_keys(seed)[1], spines, params).astype(np.int64)
+    if message.n != params.n:
+        raise ConfigurationError(
+            f"message has {message.n} bits, params expect n={params.n}"
+        )
+    mask = (1 << params.k) - 1
+    shifts = range(params.n - params.k, -1, -params.k)
+    segs = np.array([(message.value >> s) & mask for s in shifts], dtype=np.uint64)
+    return encode_rows(*code_keys(seed), segs, params).astype(np.int64)
 
 
 def random_message(params: CodeParams, raw_word: int) -> Message:
@@ -152,6 +132,23 @@ def symbol_rows(rng_keys, spines, params: CodeParams) -> np.ndarray:
     base = absorb(rng_keys, spines)
     raw = stream_at(base[..., None], np.arange(params.L, dtype=np.uint64))
     return (raw & np.uint64(params.symbol_mask)).astype(np.float64)
+
+
+def encode_rows(hash_keys, rng_keys, segs, params: CodeParams) -> np.ndarray:
+    """Symbol rows of messages given as segment values, as float64.
+
+    `segs` has shape (..., n/k), most significant segment first, and the
+    keys broadcast against `segs[..., 0]`; the result has shape
+    (..., n/k, L).  The segments are folded into spines level by level,
+    then every spine's symbols come from one `symbol_rows` call.
+    """
+    spine = np.uint64(0)
+    spines = []
+    for a in range(params.num_segments):
+        spine = child_spines(hash_keys, spine, segs[..., a], params)
+        spines.append(spine)
+    return symbol_rows(np.asarray(rng_keys)[..., None], np.stack(spines, axis=-1),
+                       params)
 
 
 def codebook_levels(params: CodeParams, seed: int) -> list[np.ndarray]:

@@ -49,6 +49,7 @@ from .codec import (
     code_keys,
     codebook_levels,  # noqa: F401  (looked up here by perfbench/tracing.py)
     encode,
+    encode_rows,
     random_message,
     symbol_rows,
 )
@@ -71,6 +72,9 @@ from .mixing import (
 
 EARLY_STOP_BLOCK = 1_000
 DEFAULT_BATCH = 2_048
+# Threads one point may run on.  Each checkpoint is split into at least one
+# job per worker, so an unbounded count could start a thread per trial.
+MAX_WORKERS = 256
 
 
 @dataclass(frozen=True)
@@ -156,7 +160,7 @@ def _count_block(params: CodeParams, model: FadingModel, sigma: float,
     hash_keys, rng_keys = code_keys(
         absorb(absorb(CODEBOOK_DOMAIN, np.uint64(seed)), indices))
 
-    msgs = (stream_at(keys, np.uint64(0)) & np.uint64((1 << params.n) - 1)).astype(np.int64)
+    words = stream_at(keys, np.uint64(0)) & np.uint64((1 << params.n) - 1)
     draws = 2 * grid_size if model.kind == RICIAN else grid_size
     ctr = np.arange(1, 1 + draws, dtype=np.uint64)
     u = uniforms_from_raw(stream_at(keys[:, None], ctr[None, :]))
@@ -168,16 +172,13 @@ def _count_block(params: CodeParams, model: FadingModel, sigma: float,
     noise = noise.reshape(count, rows, L)
 
     # The sent path: the received frame and the cost C_s of the sent message.
-    seg_mask = (1 << params.k) - 1
-    spine = np.zeros(count, dtype=np.uint64)
-    sent_cost = np.zeros(count)
-    received = np.empty_like(noise)
-    for a in range(rows):
-        seg = (msgs >> (params.n - (a + 1) * params.k)) & seg_mask
-        spine = child_spines(hash_keys, spine, seg.astype(np.uint64), params)
-        sent = symbol_rows(rng_keys, spine, params)
-        received[:, a, :] = gains[:, a, :] * sent + noise[:, a, :]
-        sent_cost = sent_cost + ((received[:, a, :] - gains[:, a, :] * sent) ** 2).sum(axis=1)
+    # Its rows are added root to leaf, as `tree_search` adds a leaf's, so C_s
+    # is bit for bit the cost the search gives the sent leaf.
+    shifts = np.arange(params.n - params.k, -1, -params.k, dtype=np.uint64)
+    sent = encode_rows(hash_keys, rng_keys,
+                       (words[:, None] >> shifts) & np.uint64((1 << params.k) - 1), params)
+    received = gains * sent + noise
+    sent_cost = ((received - gains * sent) ** 2).sum(axis=2).cumsum(axis=1)[:, -1]
 
     segs = np.arange(1 << params.k, dtype=np.uint64)
 
@@ -188,7 +189,7 @@ def _count_block(params: CodeParams, model: FadingModel, sigma: float,
     thresholds = lookahead_thresholds(received, gains, params.symbol_mask,
                                       sent_cost + TIE_TOLERANCE)
     trial, value, _ = tree_search(expand, received, gains, thresholds)
-    return int(np.unique(trial[value != msgs[trial]]).size)
+    return int(np.unique(trial[value != words.astype(np.int64)[trial]]).size)
 
 
 def estimate_fer(params: CodeParams, model: FadingModel, sigma: float,
@@ -209,9 +210,9 @@ def estimate_fer(params: CodeParams, model: FadingModel, sigma: float,
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    if workers < 1 or batch < 1:
-        raise ConfigurationError(
-            f"workers and batch must be >= 1, got {workers} and {batch}")
+    if not 1 <= workers <= MAX_WORKERS or batch < 1:
+        raise ConfigurationError(f"workers must be in 1..{MAX_WORKERS} and batch "
+                                 f">= 1, got {workers} and {batch}")
     if (early_stop_errors is not None and early_stop_errors < 1) or min_trials < 0:
         raise ConfigurationError(f"early stop must be >= 1 and min trials >= 0, "
                                  f"got {early_stop_errors} and {min_trials}")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinalfade import CapacityError, cli, pe_bound, uniform_theta_grid, verify
+from spinalfade import CapacityError, cli, pe_bound, sim, uniform_theta_grid, verify
 from spinalfade.cli import main
 from spinalfade.decoder import MEMORY_BUDGET
 
@@ -184,6 +184,45 @@ def test_nonpositive_workers_rejected(capsys, workers):
     assert_one_line_error(capsys, ["simulate", *SIM_ARGS, "--workers", workers])
 
 
+def test_workers_over_cap_exit_one_without_a_pool(capsys, monkeypatch):
+    built = []
+
+    def no_pool(*args, **kwargs):
+        built.append(kwargs)
+        raise AssertionError("thread pool built for a rejected worker count")
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", no_pool)
+    assert_one_line_error(capsys, ["simulate", *SIM_ARGS, "--workers", "100000",
+                                   "--trials", "100000"])
+    assert built == []
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", *SIM_ARGS, "--seed", str(1 << 64)],
+    ["bound", "--seed", str(1 << 64)],
+    ["bound", "--L", "10000000000000000000"],   # L itself past int64
+    ["bound", "--L", str(1 << 62)],              # (n/k)*L = 2^64 symbols
+])
+def test_integers_out_of_range_exit_one(capsys, args):
+    assert_one_line_error(capsys, args)
+
+
+def test_config_seed_out_of_range_exit_one(tmp_path, capsys):
+    conf = tmp_path / "seed.json"
+    conf.write_text(json.dumps({"seed": 1 << 64}))
+    assert_one_line_error(capsys, ["bound", "--config", str(conf)])
+
+
+def test_largest_seed_and_symbol_count_run(capsys):
+    # the last --seed given wins
+    code, out = run_cli(["simulate", *SIM_ARGS, "--seed", str((1 << 64) - 1)])
+    assert code == 0 and len(parse_csv(out)) == 3
+    # n/k = 4 rows of (2^63 - 1) // 4 passes: the kernel power underflows to 0
+    code, out = run_cli(["bound", "--L", str((1 << 63) // 4 - 1), "--snr-stop", "0"])
+    assert code == 0 and float(parse_csv(out)[0]["pe_bound"]) == 0.0
+    assert capsys.readouterr().err == ""
+
+
 def test_search_over_memory_budget_exit_one(capsys):
     assert_one_line_error(capsys, ["simulate", *SIM_ARGS, "--n", "24"])
 
@@ -286,10 +325,11 @@ OUT_OF_RANGE = dict(
     m=st.floats(max_value=0.49) | st.just(math.nan),
     K=st.floats(max_value=-1e-9) | st.just(math.nan),
     n=st.sampled_from([0, -4, 9, "8"]), k=st.sampled_from([0, 3, 9]),
-    c=st.sampled_from([0, 17]), v=st.sampled_from([0, 65]), L=st.sampled_from([0, -1]),
+    c=st.sampled_from([0, 17]), v=st.sampled_from([0, 65]),
+    L=st.sampled_from([0, -1, 1 << 62]),
     snr_start=st.sampled_from([math.inf, "0"]), snr_stop=st.just(-math.inf),
     snr_step=st.floats(max_value=0.0), theta_points=st.sampled_from([0, -1, 1 << 40]),
-    seed=st.just(-1), format=st.sampled_from(["xml", 1]),
+    seed=st.sampled_from([-1, 1 << 64]), format=st.sampled_from(["xml", 1]),
 )
 
 

@@ -1,5 +1,5 @@
 """Encoder tests: segmentation, hash statistics, spine prefix sharing,
-symbol-stream uniformity."""
+symbol-stream uniformity, and agreement with a reference hash chain."""
 
 import numpy as np
 import pytest
@@ -11,47 +11,68 @@ from spinalfade import (
     CounterStream,
     Message,
     encode,
-    hash_step,
-    segment,
-    spine_chain,
 )
-from spinalfade.codec import child_spines, code_keys, symbol_rows
-from spinalfade.mixing import uniforms_from_raw
+from spinalfade.codec import child_spines, code_keys, encode_rows, symbol_rows
+from spinalfade.mixing import HASH_DOMAIN, RNG_DOMAIN, absorb, stream_at, uniforms_from_raw
+
+
+def reference_encode(message, params, seed=0):
+    """The spine chain one segment and one symbol at a time: an oracle for
+    `encode` and `encode_rows` that shares only the mixing primitives."""
+    hash_key = absorb(HASH_DOMAIN, np.uint64(seed))
+    rng_key = absorb(RNG_DOMAIN, np.uint64(seed))
+    spine = 0
+    rows = []
+    for shift in range(params.n - params.k, -1, -params.k):
+        seg = (message.value >> shift) & ((1 << params.k) - 1)
+        spine = int(absorb(absorb(hash_key, np.uint64(spine)), np.uint64(seg)))
+        spine &= params.spine_mask
+        base = absorb(rng_key, np.uint64(spine))
+        rows.append([int(stream_at(base, np.uint64(j))) & params.symbol_mask
+                     for j in range(params.L)])
+    return np.array(rows, dtype=np.int64)
+
+
+def rows_of(segs, params, seed=0):
+    """`encode_rows` of segment values under one code seed."""
+    return encode_rows(*code_keys(seed), np.asarray(segs, dtype=np.uint64), params)
 
 
 def test_segment_bit_split():
-    params = CodeParams(n=8, k=2, c=8)
+    params = CodeParams(n=8, k=2, c=8, L=3)
     msg = Message(value=0b00011011, n=8)
-    assert segment(msg, params).tolist() == [0, 1, 2, 3]
+    assert np.array_equal(encode(msg, params), rows_of([0, 1, 2, 3], params))
 
 
 def test_segment_identity_case():
-    params = CodeParams(n=8, k=8, c=8)
+    params = CodeParams(n=8, k=8, c=8, L=3)
     for value in (0, 1, 170, 255):
-        assert segment(Message(value=value, n=8), params).tolist() == [value]
+        assert np.array_equal(encode(Message(value=value, n=8), params),
+                              rows_of([value], params))
 
 
 def test_segment_all_ones():
-    params = CodeParams(n=4, k=2, c=8)
-    assert segment(Message(value=0b1111, n=4), params).tolist() == [3, 3]
+    params = CodeParams(n=4, k=2, c=8, L=3)
+    assert np.array_equal(encode(Message(value=0b1111, n=4), params),
+                          rows_of([3, 3], params))
 
 
 def test_segment_concatenation_roundtrip():
-    params = CodeParams(n=12, k=3, c=4)
+    params = CodeParams(n=12, k=3, c=4, L=3)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        msg = Message(value=int(rng.integers(0, 1 << 12)), n=12)
-        segs = segment(msg, params)
-        rebuilt = 0
+        segs = rng.integers(0, 1 << params.k, size=params.num_segments)
+        value = 0
         for s in segs:
-            rebuilt = (rebuilt << params.k) | int(s)
-        assert rebuilt == msg.value
+            value = (value << params.k) | int(s)
+        assert np.array_equal(encode(Message(value=value, n=12), params),
+                              rows_of(segs, params))
 
 
 def test_segment_length_mismatch():
     params = CodeParams(n=8, k=2, c=8)
     with pytest.raises(ConfigurationError):
-        segment(Message(value=1, n=6), params)
+        encode(Message(value=1, n=6), params)
 
 
 def test_message_bits_roundtrip():
@@ -68,6 +89,7 @@ def test_message_bits_roundtrip():
     dict(n=8, k=2, c=8, v=0),
     dict(n=8, k=2, c=8, v=65),
     dict(n=8, k=2, c=8, L=0),
+    dict(n=8, k=2, c=8, L=1 << 62),   # (n/k)*L = 2^64 symbols
 ])
 def test_code_params_validation(bad):
     with pytest.raises(ConfigurationError):
@@ -76,18 +98,14 @@ def test_code_params_validation(bad):
 
 def test_hash_step_deterministic():
     params = CodeParams(n=8, k=2, c=8, v=32)
+    key = code_keys(0)[0]
     for spine, seg in [(0, 0), (12345, 3), ((1 << 32) - 1, 1)]:
-        a = hash_step(spine, seg, params)
-        b = hash_step(spine, seg, params)
+        a = child_spines(key, np.uint64(spine), np.uint64(seg), params)
+        b = child_spines(key, np.uint64(spine), np.uint64(seg), params)
         assert a == b
         assert 0 <= a < (1 << params.v)
-    assert hash_step(0, 1, params, seed=0) != hash_step(0, 1, params, seed=1)
-
-
-def test_hash_step_rejects_oversized_segment():
-    params = CodeParams(n=8, k=2, c=8)
-    with pytest.raises(ConfigurationError):
-        hash_step(0, 4, params)
+    assert (child_spines(code_keys(0)[0], np.uint64(0), np.uint64(1), params)
+            != child_spines(code_keys(1)[0], np.uint64(0), np.uint64(1), params))
 
 
 def collision_count(pairs: int, seed: int = 0) -> tuple[int, float]:
@@ -122,38 +140,90 @@ def test_hash_output_bits_balanced():
         assert abs(freq - 0.5) < 0.01, f"bit {bit} frequency {freq}"
 
 
+def _flipped_pairs(params, count, seed):
+    """Segment matrices of `count` random messages and of copies that differ
+    from them first at segment a (1-based, also returned)."""
+    rng = np.random.default_rng(seed)
+    segs = rng.integers(0, 1 << params.k, size=(count, params.num_segments))
+    a = rng.integers(1, params.num_segments + 1, size=count)
+    other = segs.copy()
+    other[np.arange(count), a - 1] ^= rng.integers(1, 1 << params.k, size=count)
+    return segs, other, a
+
+
 def test_spine_chain_prefix_sharing():
-    params = CodeParams(n=12, k=2, c=8)
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        value = int(rng.integers(0, 1 << 12))
-        a = int(rng.integers(1, 7))
-        flip = int(rng.integers(1, 1 << 2))
-        other = value ^ (flip << (params.n - a * params.k))
-        s1 = spine_chain(Message(value=value, n=12), params)
-        s2 = spine_chain(Message(value=other, n=12), params)
-        assert np.array_equal(s1[: a - 1], s2[: a - 1])
+    params = CodeParams(n=12, k=2, c=8, L=2)
+    segs, other, a = _flipped_pairs(params, 100, seed=2)
+    r1, r2 = rows_of(segs, params), rows_of(other, params)
+    for i in range(len(a)):
+        assert np.array_equal(r1[i, : a[i] - 1], r2[i, : a[i] - 1])
 
 
 def test_spine_chain_divergence_after_difference():
-    params = CodeParams(n=12, k=2, c=8, v=32)
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        value = int(rng.integers(0, 1 << 12))
-        a = int(rng.integers(1, 7))
-        flip = int(rng.integers(1, 1 << 2))
-        other = value ^ (flip << (params.n - a * params.k))
-        s1 = spine_chain(Message(value=value, n=12), params)
-        s2 = spine_chain(Message(value=other, n=12), params)
-        assert np.all(s1[a - 1:] != s2[a - 1:])
+    # distinct spines repeat an L=6 row of 8-bit symbols with chance 2^-48
+    params = CodeParams(n=12, k=2, c=8, v=32, L=6)
+    segs, other, a = _flipped_pairs(params, 200, seed=3)
+    r1, r2 = rows_of(segs, params), rows_of(other, params)
+    for i in range(len(a)):
+        assert np.all(np.any(r1[i, a[i] - 1:] != r2[i, a[i] - 1:], axis=1))
 
 
 def test_spine_chain_single_segment():
-    params = CodeParams(n=4, k=4, c=8)
-    msg = Message(value=9, n=4)
-    chain = spine_chain(msg, params)
-    assert chain.shape == (1,)
-    assert int(chain[0]) == hash_step(0, 9, params)
+    params = CodeParams(n=4, k=4, c=8, L=3)
+    hash_key, rng_key = code_keys(0)
+    spine = child_spines(hash_key, np.uint64(0), np.uint64(9), params)
+    mat = encode(Message(value=9, n=4), params)
+    assert mat.shape == (1, 3)
+    assert np.array_equal(mat[0], symbol_rows(rng_key, spine, params))
+
+
+def _random_code(rng, k=None, segments=None):
+    k = int(rng.integers(1, 9)) if k is None else k
+    segments = int(rng.integers(1, 7)) if segments is None else segments
+    return CodeParams(n=k * segments, k=k, c=int(rng.integers(1, 17)),
+                      v=int(rng.choice([1, 4, 32, 64])), L=int(rng.integers(1, 6)))
+
+
+def test_encode_matches_reference_chain():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        params = _random_code(rng)
+        msg = Message(value=int(rng.integers(0, 1 << params.n, dtype=np.uint64)),
+                      n=params.n)
+        segs = [(msg.value >> s) & ((1 << params.k) - 1)
+                for s in range(params.n - params.k, -1, -params.k)]
+        for seed in (0, 1, 2 ** 64 - 1):
+            expected = reference_encode(msg, params, seed)
+            assert np.array_equal(encode(msg, params, seed), expected)
+            assert np.all(rows_of(segs, params, seed) == expected)
+
+
+def test_encode_rows_batch_matches_per_message():
+    # one call over a (2, 3) grid of messages, each with its own code seed
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        params = _random_code(rng)
+        seeds = rng.integers(0, 1 << 63, size=(2, 3), dtype=np.uint64)
+        segs = rng.integers(0, 1 << params.k, size=(2, 3, params.num_segments),
+                            dtype=np.uint64)
+        rows = encode_rows(*code_keys(seeds), segs, params)
+        assert rows.shape == (2, 3, params.num_segments, params.L)
+        assert rows.dtype == np.float64
+        for i in np.ndindex(seeds.shape):
+            value = 0
+            for s in segs[i]:
+                value = (value << params.k) | int(s)
+            msg = Message(value=value, n=params.n)
+            assert np.all(rows[i] == encode(msg, params, int(seeds[i])))
+
+
+def test_encode_long_message_matches_reference_chain():
+    rng = np.random.default_rng(9)
+    for k in (1, 3, 8):
+        params = _random_code(rng, k=k, segments=72 // k)
+        for _ in range(5):
+            msg = Message(value=int.from_bytes(rng.bytes(9), "big"), n=72)
+            assert np.array_equal(encode(msg, params, 5), reference_encode(msg, params, 5))
 
 
 def _spine_symbols(spine, count, seed=0):

@@ -209,8 +209,12 @@ def test_checkpoints_hold_workers_times_batch_jobs(monkeypatch):
     assert peak < 1 << 20
 
 
-def test_estimate_fer_rejects_bad_workers_and_batch():
-    for kwargs in (dict(workers=0), dict(batch=0)):
+def test_estimate_fer_rejects_bad_workers_and_batch(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool built for a rejected setting")
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", no_pool)
+    for kwargs in (dict(workers=0), dict(workers=sim.MAX_WORKERS + 1), dict(batch=0)):
         with pytest.raises(ConfigurationError):
             estimate_fer(SMALL, FadingModel.rayleigh(1.0), 1.0, 100, seed=0, **kwargs)
 
