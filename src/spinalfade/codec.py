@@ -12,6 +12,9 @@ value, so the symbol matrix holds plain integers in {0, ..., 2^c - 1}.
 batch of messages at once (`encode` is its one-message case, and the Monte
 Carlo path its batch case), and `codebook_levels` walks it over every
 prefix of the codebook; `symbol_rows` turns spines into symbols for both.
+Symbol arrays are pass-major: the L passes of a spine lie on the leading
+axis, so every elementwise step of the hashing runs along the long axis
+of spines, not the short one of passes.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ def encode(message: Message, params: CodeParams, seed: int = 0) -> np.ndarray:
     mask = (1 << params.k) - 1
     shifts = range(params.n - params.k, -1, -params.k)
     segs = np.array([(message.value >> s) & mask for s in shifts], dtype=np.uint64)
-    return encode_rows(*code_keys(seed), segs, params).astype(np.int64)
+    return encode_rows(*code_keys(seed), segs, params).astype(np.int64, order="C")
 
 
 def random_message(params: CodeParams, raw_word: int) -> Message:
@@ -125,39 +128,41 @@ def child_spines(hash_keys, parents, segs, params: CodeParams) -> np.ndarray:
 
 
 def symbol_rows(rng_keys, spines, params: CodeParams) -> np.ndarray:
-    """The L symbols seeded by each spine, as float64; shape spines + (L,).
+    """The L symbols seeded by each spine, as float64; shape (L,) + spines.
 
-    `rng_keys` broadcasts against `spines`.
+    `rng_keys` broadcasts against `spines`.  Passes come first, so each
+    pass's counter is added to one long run of spine words.
     """
     base = absorb(rng_keys, spines)
-    raw = stream_at(base[..., None], np.arange(params.L, dtype=np.uint64))
-    return (raw & np.uint64(params.symbol_mask)).astype(np.float64)
+    ctr = np.arange(params.L, dtype=np.uint64).reshape((-1,) + (1,) * base.ndim)
+    raw = stream_at(base, ctr)
+    raw &= np.uint64(params.symbol_mask)
+    return raw.astype(np.float64)
 
 
 def encode_rows(hash_keys, rng_keys, segs, params: CodeParams) -> np.ndarray:
     """Symbol rows of messages given as segment values, as float64.
 
-    `segs` has shape (..., n/k), most significant segment first, and the
-    keys broadcast against `segs[..., 0]`; the result has shape
-    (..., n/k, L).  The segments are folded into spines level by level,
-    then every spine's symbols come from one `symbol_rows` call.
+    `segs` has shape (n/k, ...), most significant segment first, and the
+    keys broadcast against `segs[0]`; the result has shape (n/k, L, ...).
+    The segments are folded into spines level by level, then every
+    spine's symbols come from one `symbol_rows` call.
     """
     spine = np.uint64(0)
     spines = []
-    for a in range(params.num_segments):
-        spine = child_spines(hash_keys, spine, segs[..., a], params)
+    for seg in segs:
+        spine = child_spines(hash_keys, spine, seg, params)
         spines.append(spine)
-    return symbol_rows(np.asarray(rng_keys)[..., None], np.stack(spines, axis=-1),
-                       params)
+    return symbol_rows(rng_keys, np.stack(spines), params).swapaxes(0, 1)
 
 
 def codebook_levels(params: CodeParams, seed: int) -> list[np.ndarray]:
     """Candidate symbol tables of the codebook keyed by `seed`.
 
-    Entry a of the result has shape (2^((a+1)k), L): the symbols of matrix
-    row a+1 for every segment prefix.  Variant indices spell the prefix in
-    base 2^k, most significant segment first, so candidate m uses variant
-    m >> (n - (a+1)k) at level a.
+    Entry a of the result has shape (L, 2^((a+1)k)): the symbols of matrix
+    row a+1 for every segment prefix, pass-major.  Variant indices spell
+    the prefix in base 2^k, most significant segment first, so candidate m
+    uses variant m >> (n - (a+1)k) at level a.
     """
     hash_key, rng_key = code_keys(seed)
     segs = np.arange(1 << params.k, dtype=np.uint64)

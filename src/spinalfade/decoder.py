@@ -6,6 +6,14 @@ branches per node and one symbol row per node.  `tree_search` is the one
 search over it: `ml_decode` calls it with a radius from a greedy descent,
 and the Monte Carlo path (`sim.count_errors`) with the sent message's cost.
 
+The search's arrays are pass-major: received values and gains come as
+(n/k, L, frames), a level's children as (2^k, N) and their symbols as
+(L, 2^k, N), so every elementwise step runs along the long node axis.
+A child's row cost is squared in place and summed over the leading pass
+axis, which adds the L passes left to right.  Up to L = 7 that is what
+numpy's sum over a trailing pass axis does too; from L = 8 that sum goes
+pairwise, so there costs may differ from it by a few ulps.
+
 `brute_force_decode` is the independent oracle: a flat loop over all
 candidates that re-encodes each one from scratch and shares none of the
 tree machinery.
@@ -34,8 +42,11 @@ TIE_TOLERANCE = 1e-12
 MEMORY_BUDGET = 256 << 20
 # What a leaf of a search that prunes nothing costs: a fixed part plus a
 # part per symbol pass.  The two constants cover the peak traced by
-# tracemalloc for k in 1..6 and L in 1..20 (k=1 with L=1 and L=20 come
-# closest), and also the peaks of one table build and of one `ml_decode`.
+# tracemalloc for k in 1..6 and L in 1..20 with zero gains, on trees of
+# 2^12 to 2^15 leaves: at most 0.95 of `tree_bytes` for one Monte Carlo
+# frame, 0.68 for eight, 0.85 for one table build and 0.87 for one
+# `ml_decode`, each at k=1.  A tree of 2^10 leaves can pass it by 11%
+# (about 70 KB of hashing temporaries that do not grow with the tree).
 _NODE_BYTES = 80
 _NODE_ROW_BYTES = 32
 
@@ -73,23 +84,30 @@ class DecodeResult:
 def tree_search(expand, received: np.ndarray, gains: np.ndarray,
                 threshold: np.ndarray | None):
     """Every leaf whose cost is at most its frame's threshold, as (trial,
-    value, cost) arrays sorted by trial and by candidate value.
+    value, cost) arrays.
 
-    `received` and `gains` have shape (B, n/k, L), `threshold` (B, n/k):
+    `received` and `gains` have shape (n/k, L, B), `threshold` (n/k, B):
     a level-a prefix survives while its partial cost is at most
-    `threshold[trial, a]`, and the last column bounds the leaves.
-    `expand(a, trial, nodes)` returns the states (N, 2^k) and symbol rows
-    (N, 2^k, L) of the level-a children of N nodes (frames `trial`, states
-    `nodes`, 0 at the root).  With `threshold` None it keeps the cheapest
-    child of each node instead: a greedy descent to one leaf per frame.
+    `threshold[a, trial]`, and the last row bounds the leaves.
+    `expand(a, trial, nodes)` returns the states (2^k, N) and symbol rows
+    (L, 2^k, N) of the level-a children of N nodes (frames `trial`, states
+    `nodes`, 0 at the root), as fresh arrays: the search overwrites the
+    symbols with their squared distances.  Each child's row cost is the
+    sum of those over the leading pass axis, added left to right, and
+    costs add rows root to leaf.  With `threshold` None it keeps the
+    cheapest child of each node instead: a greedy descent to one leaf per
+    frame, returned in trial order.  Otherwise each level's survivors are
+    ordered by segment value, then by the order of their parents, so
+    leaves come sorted by their segments read last to first, then by
+    trial.
 
     Costs are sums of non-negative row distances added root to leaf, and
     adding a non-negative double never lowers the rounded sum, so a prefix
     already above the leaf threshold has no leaf within it: a threshold
     that is the leaf threshold at every level drops nothing else.  An
-    earlier column may be lower by a lower bound on the cost of any
+    earlier row may be lower by a lower bound on the cost of any
     completion, as long as it drops no prefix that still has a leaf within
-    the last column.  `lookahead_thresholds` builds such columns as
+    the last row.  `lookahead_thresholds` builds such rows as
     threshold·(1+1e-12) − tail·(1−1e-9), the tail being the sum over the
     rows below of each symbol's distance to its nearest point
     clip(rint(y/h)) (0/0 read as 0, computed under `np.errstate`); the
@@ -98,29 +116,34 @@ def tree_search(expand, received: np.ndarray, gains: np.ndarray,
     way the surviving leaves and their costs are the same, bit for bit.
     With nothing to drop (zero gains) the frontier is the whole tree.
     """
-    count = len(received)
+    count = received.shape[2]
     trial = np.arange(count)
     node = np.zeros(count, dtype=np.uint64)
     value = np.zeros(count, dtype=np.int64)
     cost = np.zeros(count)
-    for a in range(received.shape[1]):
+    for a in range(len(received)):
         children, x = expand(a, trial, node)
-        y = received[:, a].take(trial, axis=0)[:, None, :]
-        h = gains[:, a].take(trial, axis=0)[:, None, :]
-        child_cost = cost[:, None] + ((y - h * x) ** 2).sum(axis=2)
+        x *= gains[a].take(trial, axis=1)[:, None]
+        np.subtract(received[a].take(trial, axis=1)[:, None], x, out=x)
+        x *= x
+        # numpy sums a leading axis left to right while other columns remain
+        # (here 2^k·N ≥ 2; over a single column it would sum pairwise).
+        # `sim` adds the sent path's passes in the same order.
+        child_cost = x.sum(axis=0)
+        child_cost += cost
         if threshold is None:
-            parent, seg = np.arange(len(child_cost)), child_cost.argmin(axis=1)
+            seg, parent = child_cost.argmin(axis=0), np.arange(len(trial))
         else:
-            parent, seg = np.nonzero(child_cost <= threshold[trial, a, None])
-        trial, node = trial[parent], children[parent, seg]
-        value = value[parent] * x.shape[1] + seg
-        cost = child_cost[parent, seg]
+            seg, parent = np.nonzero(child_cost <= threshold[a].take(trial))
+        trial, node = trial[parent], children[seg, parent]
+        value = value[parent] * len(children) + seg
+        cost = child_cost[seg, parent]
     return trial, value, cost
 
 
 def lookahead_thresholds(received: np.ndarray, gains: np.ndarray, top: int,
                          threshold: np.ndarray) -> np.ndarray:
-    """Per-level `tree_search` thresholds (B, n/k) that keep exactly the
+    """Per-level `tree_search` thresholds (n/k, B) that keep exactly the
     leaves within `threshold` (B,) while dropping prefixes sooner.
 
     Symbols are integers in 0..`top`.  Row j of any completion costs at
@@ -128,8 +151,8 @@ def lookahead_thresholds(received: np.ndarray, gains: np.ndarray, top: int,
     x = clip(rint(y/h), 0, top) (y/h = 0/0, a zero gain with a zero
     received value, reads as x = 0; any x is then as good).  The bound
     after level a, `tail`, sums those minima over the rows below it, and
-    column a is threshold·(1+1e-12) − tail·(1−1e-9); the last column is
-    the threshold itself.  The margins cover two rounding errors: the
+    row a is threshold·(1+1e-12) − tail·(1−1e-9); the last row is the
+    threshold itself.  The margins cover two rounding errors: the
     root-to-leaf sum of a leaf cost can differ from the exact sum of its
     rows by a few ulps, and y/h is rounded, so when it sits on a
     half-integer rint can pick the farther of the two nearest points,
@@ -138,21 +161,26 @@ def lookahead_thresholds(received: np.ndarray, gains: np.ndarray, top: int,
     Stojnic, Vikalo & Hassibi (IEEE T-SP 2008).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.clip(np.rint(received / gains), 0, top)
+        x = received / gains
+    np.rint(x, out=x)
+    np.clip(x, 0, top, out=x)
     x[np.isnan(x)] = 0.0
-    row_min = ((received - gains * x) ** 2).sum(axis=2)
-    tail = np.cumsum(row_min[:, :0:-1], axis=1)[:, ::-1]
+    x *= gains
+    np.subtract(received, x, out=x)
+    x *= x
+    row_min = x.sum(axis=1)
+    tail = np.cumsum(row_min[:0:-1], axis=0)[::-1]
     out = np.empty_like(row_min)
-    out[:, :-1] = threshold[:, None] * (1 + 1e-12) - tail * (1 - 1e-9)
-    out[:, -1] = threshold
+    out[:-1] = threshold * (1 + 1e-12) - tail * (1 - 1e-9)
+    out[-1] = threshold
     return out
 
 
 class CandidateTable:
     """Per-level candidate symbol rows for all message prefixes.
 
-    levels[a] has shape (2^((a+1)k), L): row r holds the symbols of matrix
-    row a+1 for the prefix whose segment values spell r in base 2^k.
+    levels[a] has shape (L, 2^((a+1)k)): column r holds the symbols of
+    matrix row a+1 for the prefix whose segment values spell r in base 2^k.
     Candidate index bits are big-endian, so candidate m uses variant
     m >> (n - (a+1)k) at level a and numeric order equals lexicographic
     bit-pattern order.
@@ -162,11 +190,11 @@ class CandidateTable:
         trials_per_block(params)    # CapacityError before any hashing
         self.params = params
         self.levels: list[np.ndarray] = codebook_levels(params, seed)
-        self._segs = np.arange(1 << params.k, dtype=np.uint64)
+        self._segs = np.arange(1 << params.k, dtype=np.uint64)[:, None]
 
     def _expand(self, a, trial, nodes):
-        children = nodes[:, None] * np.uint64(len(self._segs)) + self._segs
-        return children, self.levels[a].take(children, axis=0)
+        children = nodes * np.uint64(len(self._segs)) + self._segs
+        return children, self.levels[a].take(children, axis=1)
 
     def costs(self, received: np.ndarray, gains: np.ndarray) -> np.ndarray:
         """Costs of the 2^n candidates for a batch of realizations.
@@ -176,11 +204,12 @@ class CandidateTable:
         keeps every candidate within TIE_TOLERANCE of the minimum exactly;
         the others read +inf.
         """
+        received = received.transpose(1, 2, 0)     # pass-major views
+        gains = gains.transpose(1, 2, 0)
         greedy = tree_search(self._expand, received, gains, None)[2]
-        radius = np.broadcast_to((greedy + TIE_TOLERANCE)[:, None],
-                                 received.shape[:2])
+        radius = np.broadcast_to(greedy + TIE_TOLERANCE, received.shape[::2])
         trial, value, cost = tree_search(self._expand, received, gains, radius)
-        out = np.full((len(received), 1 << self.params.n), np.inf)
+        out = np.full((received.shape[2], 1 << self.params.n), np.inf)
         out[trial, value] = cost
         return out
 

@@ -30,19 +30,48 @@ _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _U53 = 2.0 ** -53
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+# Words `mix64` finalizes at a time when it works in place.  A 128 KiB
+# chunk and its scratch stay in cache across the finalizer's eight passes,
+# and the scratch is small enough for the allocator to recycle instead of
+# mapping fresh pages.  Inputs of up to one chunk go out of place: numpy's
+# own temporaries are then as cheap, and its calls cost less (per call on
+# a 2-core Xeon VM with numpy 2.4, out of place against in place: 14
+# against 16 us at 36 words, 72 against 78 us at one chunk, but 146
+# against 131 us at two chunks and more than twice the time from 10^5
+# words on).
+_CHUNK = 1 << 14
 
 
 def mix64(x) -> np.ndarray:
     """SplitMix64 step: add the golden gamma, then run the finalizer.
 
-    Works on ints or uint64 arrays; modular wraparound is the point, so
-    overflow reporting is suppressed for the duration.
+    Works on ints or uint64 arrays, and never writes into `x`: adding the
+    gamma makes one fresh array.  Past `_CHUNK` words the finalizer runs
+    on it in place, a chunk at a time, with one scratch array of one
+    chunk; up to that it runs out of place.  A scalar in gives a numpy
+    scalar out.  Modular wraparound is the point, so overflow reporting is
+    suppressed for the duration.
     """
     with np.errstate(over="ignore"):
-        z = np.asarray(x, dtype=np.uint64) + GOLDEN
-        z = (z ^ (z >> _S30)) * _MULT1
-        z = (z ^ (z >> _S27)) * _MULT2
-        return z ^ (z >> _S31)
+        z = np.add(np.asarray(x, dtype=np.uint64), GOLDEN, order="C")
+        if z.size <= _CHUNK:
+            z = (z ^ (z >> _S30)) * _MULT1
+            z = (z ^ (z >> _S27)) * _MULT2
+            return z ^ (z >> _S31)
+        flat = z.reshape(-1)    # a view: z is C-contiguous
+        scratch = np.empty(_CHUNK, dtype=np.uint64)
+        for i in range(0, flat.size, _CHUNK):
+            w = flat[i:i + _CHUNK]
+            s = scratch[:w.size]
+            np.right_shift(w, _S30, out=s)
+            w ^= s
+            w *= _MULT1
+            np.right_shift(w, _S27, out=s)
+            w ^= s
+            w *= _MULT2
+            np.right_shift(w, _S31, out=s)
+            w ^= s
+    return z
 
 
 def absorb(state, word) -> np.ndarray:

@@ -20,6 +20,11 @@ the search hashes about 140 of the 340 nodes per trial at 0 dB, 104 at
 16 to 17 at 16 dB and above, with or without it.  With nothing to prune
 it is the whole tree, so blocks are sized for that worst case.
 
+A block lays out its gains, noise and sent symbols pass-major, as
+(n/k, L, trials), the layout `tree_search` takes.  C_s adds each row's
+passes left to right and the rows root to leaf, the order in which the
+search adds up the sent leaf's cost, so the two agree bit for bit.
+
 Re-keying the codebook per trial makes the estimator target the
 ensemble-average error probability, which is the quantity the analytical
 bounds control; a single fixed codebook has its own luck and can sit a
@@ -163,28 +168,34 @@ def _count_block(params: CodeParams, model: FadingModel, sigma: float,
     words = stream_at(keys, np.uint64(0)) & np.uint64((1 << params.n) - 1)
     draws = 2 * grid_size if model.kind == RICIAN else grid_size
     ctr = np.arange(1, 1 + draws, dtype=np.uint64)
-    u = uniforms_from_raw(stream_at(keys[:, None], ctr[None, :]))
+    u = uniforms_from_raw(stream_at(keys, ctr[:, None]))
     if model.kind == RICIAN:
-        u = u.reshape(count, grid_size, 2)
-    gains = gains_from_uniforms(model, u).reshape(count, rows, L)
+        u = np.moveaxis(u.reshape(grid_size, 2, count), 1, 2)
+    gains = gains_from_uniforms(model, u).reshape(rows, L, count)
     ctr = np.arange(1 + draws, 1 + draws + grid_size, dtype=np.uint64)
-    noise = sigma * ndtri(uniforms_from_raw(stream_at(keys[:, None], ctr[None, :])))
-    noise = noise.reshape(count, rows, L)
+    noise = sigma * ndtri(uniforms_from_raw(stream_at(keys, ctr[:, None])))
+    noise = noise.reshape(rows, L, count)
 
     # The sent path: the received frame and the cost C_s of the sent message.
-    # Its rows are added root to leaf, as `tree_search` adds a leaf's, so C_s
-    # is bit for bit the cost the search gives the sent leaf.
+    # Passes are added left to right and rows root to leaf, as `tree_search`
+    # adds a leaf's, so C_s is bit for bit the cost the search gives the
+    # sent leaf.  The passes are added one by one because numpy's sum over
+    # them would go pairwise for a block of one trial.
     shifts = np.arange(params.n - params.k, -1, -params.k, dtype=np.uint64)
     sent = encode_rows(hash_keys, rng_keys,
-                       (words[:, None] >> shifts) & np.uint64((1 << params.k) - 1), params)
+                       (words >> shifts[:, None]) & np.uint64((1 << params.k) - 1), params)
     received = gains * sent + noise
-    sent_cost = ((received - gains * sent) ** 2).sum(axis=2).cumsum(axis=1)[:, -1]
+    dist = (received - gains * sent) ** 2
+    row_cost = dist[:, 0].copy()
+    for j in range(1, L):
+        row_cost += dist[:, j]
+    sent_cost = row_cost.cumsum(axis=0)[-1]
 
-    segs = np.arange(1 << params.k, dtype=np.uint64)
+    segs = np.arange(1 << params.k, dtype=np.uint64)[:, None]
 
     def expand(a, trial, spines):
-        children = child_spines(hash_keys[trial, None], spines[:, None], segs, params)
-        return children, symbol_rows(rng_keys[trial, None], children, params)
+        children = child_spines(hash_keys[trial], spines, segs, params)
+        return children, symbol_rows(rng_keys[trial], children, params)
 
     thresholds = lookahead_thresholds(received, gains, params.symbol_mask,
                                       sent_cost + TIE_TOLERANCE)

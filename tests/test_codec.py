@@ -34,8 +34,10 @@ def reference_encode(message, params, seed=0):
 
 
 def rows_of(segs, params, seed=0):
-    """`encode_rows` of segment values under one code seed."""
-    return encode_rows(*code_keys(seed), np.asarray(segs, dtype=np.uint64), params)
+    """`encode_rows` of segment values (..., n/k) under one code seed, as
+    symbol rows (..., n/k, L)."""
+    segs = np.moveaxis(np.asarray(segs, dtype=np.uint64), -1, 0)
+    return np.moveaxis(encode_rows(*code_keys(seed), segs, params), (0, 1), (-2, -1))
 
 
 def test_segment_bit_split():
@@ -204,17 +206,18 @@ def test_encode_rows_batch_matches_per_message():
     for _ in range(20):
         params = _random_code(rng)
         seeds = rng.integers(0, 1 << 63, size=(2, 3), dtype=np.uint64)
-        segs = rng.integers(0, 1 << params.k, size=(2, 3, params.num_segments),
+        segs = rng.integers(0, 1 << params.k, size=(params.num_segments, 2, 3),
                             dtype=np.uint64)
         rows = encode_rows(*code_keys(seeds), segs, params)
-        assert rows.shape == (2, 3, params.num_segments, params.L)
+        assert rows.shape == (params.num_segments, params.L, 2, 3)
         assert rows.dtype == np.float64
         for i in np.ndindex(seeds.shape):
             value = 0
-            for s in segs[i]:
+            for s in segs[(slice(None),) + i]:
                 value = (value << params.k) | int(s)
             msg = Message(value=value, n=params.n)
-            assert np.all(rows[i] == encode(msg, params, int(seeds[i])))
+            assert np.all(rows[(slice(None),) * 2 + i]
+                          == encode(msg, params, int(seeds[i])))
 
 
 def test_encode_long_message_matches_reference_chain():

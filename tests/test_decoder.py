@@ -185,7 +185,7 @@ def decode_cases(draw):
     n = k * draw(st.integers(1, 8 // k))
     params = CodeParams(n=n, k=k, c=draw(st.integers(1, 8)),
                         v=draw(st.one_of(st.integers(1, 4), st.integers(5, 64))),
-                        L=draw(st.integers(1, 4)))
+                        L=draw(st.integers(1, 12)))
     model = draw(st.sampled_from([
         FadingModel.rayleigh(1.0), FadingModel.nakagami(2.0, omega=0.5),
         FadingModel.rician(1.0, omega=2.0)]))
@@ -232,19 +232,27 @@ def test_candidate_table_costs_batch():
 
 
 def sent_path_cost(received, gains, sent):
-    """Costs of the sent leaves, summed root to leaf as `tree_search` does."""
+    """Costs of the sent leaves, summed as `tree_search` does: passes left
+    to right within a row, rows root to leaf."""
     cost = np.zeros(len(received))
     for a in range(received.shape[1]):
-        cost = cost + ((received[:, a] - gains[:, a] * sent[:, a]) ** 2).sum(axis=1)
+        row = np.zeros(len(received))
+        for j in range(received.shape[2]):
+            row = row + (received[:, a, j] - gains[:, a, j] * sent[:, a, j]) ** 2
+        cost = cost + row
     return cost
 
 
 def assert_lookahead_keeps_leaves(params, code_seed, msgs, received, gains,
                                   threshold):
-    """The lookahead search returns exactly the plain search's leaves."""
+    """The lookahead search returns exactly the plain search's leaves.
+
+    `received` and `gains` come frame-major, (B, n/k, L), and are handed
+    to the searches pass-major."""
     expand = CandidateTable(params, code_seed)._expand
+    received, gains = received.transpose(1, 2, 0), gains.transpose(1, 2, 0)
     plain = tree_search(expand, received, gains,
-                        np.broadcast_to(threshold[:, None], received.shape[:2]))
+                        np.broadcast_to(threshold, received.shape[::2]))
     look = tree_search(expand, received, gains, lookahead_thresholds(
         received, gains, params.symbol_mask, threshold))
     for want, got in zip(plain, look):
@@ -259,7 +267,7 @@ def search_cases(draw):
     n = k * draw(st.integers(1, 10 // k))
     params = CodeParams(n=n, k=k, c=draw(st.integers(1, 8)),
                         v=draw(st.one_of(st.integers(1, 4), st.integers(5, 64))),
-                        L=draw(st.integers(1, 4)))
+                        L=draw(st.integers(1, 12)))
     model = draw(st.sampled_from([
         FadingModel.rayleigh(1.0), FadingModel.nakagami(2.0, omega=0.5),
         FadingModel.rician(1.0, omega=2.0)]))
@@ -313,7 +321,8 @@ def test_lookahead_zero_gain_zero_received_reads_as_symbol_zero():
     gains[0] = 0.0
     gains[1, 0] = 0.0
     received = gains * sent
-    thresholds = lookahead_thresholds(received, gains, params.symbol_mask,
-                                      np.zeros(2))
+    thresholds = lookahead_thresholds(received.transpose(1, 2, 0),
+                                      gains.transpose(1, 2, 0),
+                                      params.symbol_mask, np.zeros(2))
     assert np.all(np.isfinite(thresholds))
     assert_lookahead_keeps_leaves(params, 0, msgs, received, gains, np.zeros(2))

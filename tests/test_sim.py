@@ -88,6 +88,10 @@ def test_batched_matches_scalar_loop(model):
     (CodeParams(n=8, k=1, c=4, v=32, L=3), FadingModel.nakagami(0.5, 1.0), 6.0, None, 0),
     (CodeParams(n=9, k=3, c=6, v=32, L=2), FadingModel.rician(0.5, 1.0), 4.0, None, 0),
     (PARAMS, FadingModel.nakagami(2.0, 1.0), 2.0, None, 12_345),
+    # L >= 8, where a left-to-right pass sum and numpy's pairwise sum over
+    # a last axis part ways: ties from collisions, then plain costs
+    (CodeParams(n=8, k=2, c=4, v=4, L=9), FadingModel.rayleigh(1.0), 12.0, None, 0),
+    (CodeParams(n=6, k=2, c=8, v=32, L=12), FadingModel.rician(1.0, 1.0), 4.0, None, 7),
 ])
 def test_frontier_matches_scalar_loop(constant_gain, params, model, snr_db, gain, start):
     if gain is not None:
