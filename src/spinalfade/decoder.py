@@ -4,7 +4,9 @@ The decoder returns a candidate of least squared distance to the received
 frame given the known gains.  Candidates form a depth-(n/k) tree with 2^k
 branches per node and one symbol row per node.  `tree_search` is the one
 search over it: `ml_decode` calls it with a radius from a greedy descent,
-and the Monte Carlo path (`sim.count_errors`) with the sent message's cost.
+and the Monte Carlo path (`sim.count_errors`) with the sent message's cost,
+resuming it from its own level-0 frontier after greedy descents that can
+settle a trial early.
 
 The search's arrays are pass-major: received values and gains come as
 (n/k, L, frames), a level's children as (2^k, N) and their symbols as
@@ -22,6 +24,7 @@ tree machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,25 +84,56 @@ class DecodeResult:
     tie: bool
 
 
+class Frontier(NamedTuple):
+    """The prefixes a search holds after its first `level` tree levels.
+
+    Prefix i belongs to frame `trial[i]`, ends in spine state `node[i]`
+    (0 at the root), spells the segment values `value[i]` (first segment
+    most significant) and has partial cost `cost[i]`.
+    """
+
+    level: int
+    trial: np.ndarray
+    node: np.ndarray
+    value: np.ndarray
+    cost: np.ndarray
+
+    def select(self, index) -> Frontier:
+        """The prefixes at `index` (integer or boolean), in that order."""
+        return Frontier(self.level, self.trial[index], self.node[index],
+                        self.value[index], self.cost[index])
+
+
 def tree_search(expand, received: np.ndarray, gains: np.ndarray,
-                threshold: np.ndarray | None):
-    """Every leaf whose cost is at most its frame's threshold, as (trial,
-    value, cost) arrays.
+                threshold: np.ndarray | None, start: Frontier | None = None,
+                stop: int | None = None) -> Frontier:
+    """Expand the frontier `start` (the root of every frame when None) level
+    by level up to level `stop` (the leaves when None) and return the
+    frontier reached there: with the defaults, every leaf whose cost is at
+    most its frame's threshold.
 
     `received` and `gains` have shape (n/k, L, B), `threshold` (n/k, B):
     a level-a prefix survives while its partial cost is at most
     `threshold[a, trial]`, and the last row bounds the leaves.
     `expand(a, trial, nodes)` returns the states (2^k, N) and symbol rows
     (L, 2^k, N) of the level-a children of N nodes (frames `trial`, states
-    `nodes`, 0 at the root), as fresh arrays: the search overwrites the
-    symbols with their squared distances.  Each child's row cost is the
-    sum of those over the leading pass axis, added left to right, and
-    costs add rows root to leaf.  With `threshold` None it keeps the
-    cheapest child of each node instead: a greedy descent to one leaf per
-    frame, returned in trial order.  Otherwise each level's survivors are
-    ordered by segment value, then by the order of their parents, so
-    leaves come sorted by their segments read last to first, then by
-    trial.
+    `nodes`), as fresh arrays: the search overwrites the symbols with their
+    squared distances.  Each child's row cost is the sum of those over the
+    leading pass axis, added left to right, and costs add rows root to
+    leaf.  With `threshold` None it keeps the cheapest child of each node
+    instead: a greedy descent to one leaf per start prefix, returned in
+    the start order (from the root, one leaf per frame in trial order).
+    Otherwise each level's survivors are ordered by segment value, then by
+    the order of their parents, so from the root the leaves come sorted
+    by their segments read last to first, then by trial.
+
+    A search resumed from its own level-a frontier (`stop=a`, then
+    `start=` that frontier) returns the same leaves, bit for bit, as one
+    that runs through, and a search started from a subset of a frontier
+    returns exactly the leaves below that subset: each level only adds to
+    its parents' costs.  So the level-0 step, a greedy descent from
+    chosen prefixes and the rest of a thresholded search are all this one
+    loop.
 
     Costs are sums of non-negative row distances added root to leaf, and
     adding a non-negative double never lowers the rounded sum, so a prefix
@@ -116,12 +150,14 @@ def tree_search(expand, received: np.ndarray, gains: np.ndarray,
     way the surviving leaves and their costs are the same, bit for bit.
     With nothing to drop (zero gains) the frontier is the whole tree.
     """
-    count = received.shape[2]
-    trial = np.arange(count)
-    node = np.zeros(count, dtype=np.uint64)
-    value = np.zeros(count, dtype=np.int64)
-    cost = np.zeros(count)
-    for a in range(len(received)):
+    if start is None:
+        count = received.shape[2]
+        start = Frontier(0, np.arange(count), np.zeros(count, dtype=np.uint64),
+                         np.zeros(count, dtype=np.int64), np.zeros(count))
+    if stop is None:
+        stop = len(received)
+    _, trial, node, value, cost = start
+    for a in range(start.level, stop):
         children, x = expand(a, trial, node)
         x *= gains[a].take(trial, axis=1)[:, None]
         np.subtract(received[a].take(trial, axis=1)[:, None], x, out=x)
@@ -138,7 +174,7 @@ def tree_search(expand, received: np.ndarray, gains: np.ndarray,
         trial, node = trial[parent], children[seg, parent]
         value = value[parent] * len(children) + seg
         cost = child_cost[seg, parent]
-    return trial, value, cost
+    return Frontier(stop, trial, node, value, cost)
 
 
 def lookahead_thresholds(received: np.ndarray, gains: np.ndarray, top: int,
@@ -206,11 +242,11 @@ class CandidateTable:
         """
         received = received.transpose(1, 2, 0)     # pass-major views
         gains = gains.transpose(1, 2, 0)
-        greedy = tree_search(self._expand, received, gains, None)[2]
+        greedy = tree_search(self._expand, received, gains, None).cost
         radius = np.broadcast_to(greedy + TIE_TOLERANCE, received.shape[::2])
-        trial, value, cost = tree_search(self._expand, received, gains, radius)
+        leaves = tree_search(self._expand, received, gains, radius)
         out = np.full((received.shape[2], 1 << self.params.n), np.inf)
-        out[trial, value] = cost
+        out[leaves.trial, leaves.value] = leaves.cost
         return out
 
 

@@ -1,7 +1,11 @@
 """Decoder tests: cost contract, oracle equivalence, tie semantics."""
 
+import ast
+import inspect
 import math
+import textwrap
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -255,10 +259,15 @@ def assert_lookahead_keeps_leaves(params, code_seed, msgs, received, gains,
                         np.broadcast_to(threshold, received.shape[::2]))
     look = tree_search(expand, received, gains, lookahead_thresholds(
         received, gains, params.symbol_mask, threshold))
-    for want, got in zip(plain, look):
-        assert want.dtype == got.dtype and np.array_equal(want, got)
-    trial, value, _ = plain
-    assert {(t, v) for t, v in zip(trial, value)} >= set(enumerate(msgs))
+    assert_same_frontier(plain, look)
+    assert {(t, v) for t, v in zip(plain.trial, plain.value)} >= set(enumerate(msgs))
+
+
+def assert_same_frontier(want, got):
+    assert want.level == got.level
+    for field in ("trial", "node", "value", "cost"):
+        a, b = getattr(want, field), getattr(got, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @st.composite
@@ -294,6 +303,65 @@ def test_lookahead_search_matches_plain_search_property(case, slack):
     threshold = sent_path_cost(received, gains, sent) + slack
     assert_lookahead_keeps_leaves(params, code_seed, msgs, received, gains,
                                   threshold)
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases(), st.data())
+def test_resumed_search_matches_uninterrupted_property(case, data):
+    params, code_seed, msgs, received, gains, sent = case
+    expand = CandidateTable(params, code_seed)._expand
+    threshold = sent_path_cost(received, gains, sent) + TIE_TOLERANCE
+    received, gains = received.transpose(1, 2, 0), gains.transpose(1, 2, 0)
+    thresholds = lookahead_thresholds(received, gains, params.symbol_mask,
+                                      threshold)
+    whole = tree_search(expand, received, gains, thresholds)
+    level = data.draw(st.integers(0, params.num_segments))
+    part = tree_search(expand, received, gains, thresholds, stop=level)
+    assert part.level == level
+    assert_same_frontier(whole, tree_search(expand, received, gains, thresholds,
+                                            start=part))
+
+
+def test_greedy_descent_from_root_gives_one_leaf_per_frame():
+    params = CodeParams(n=8, k=2, c=4, v=32, L=3)
+    table = CandidateTable(params)
+    reals = [make_realization(params, value, 1.0, key)
+             for value, key in ((3, 4), (3, 5), (250, 6), (77, 7))]
+    received = np.stack([r.received for r in reals]).transpose(1, 2, 0)
+    gains = np.stack([r.gains for r in reals]).transpose(1, 2, 0)
+    leaf = tree_search(table._expand, received, gains, None)
+    assert leaf.level == params.num_segments
+    assert np.array_equal(leaf.trial, np.arange(len(reals)))
+    for t, real in enumerate(reals):
+        exact = candidate_cost(Message(value=int(leaf.value[t]), n=params.n),
+                               real, params)
+        assert math.isclose(leaf.cost[t], exact, rel_tol=1e-12)
+    # resumed from its own level-2 prefixes, the descent ends in the same leaves
+    half = tree_search(table._expand, received, gains, None, stop=2)
+    assert_same_frontier(leaf, tree_search(table._expand, received, gains, None,
+                                           start=half))
+    # and from a reordered subset of them, in the order given
+    sub = half.select(np.array([2, 0]))
+    assert_same_frontier(leaf.select(np.array([2, 0])),
+                         tree_search(table._expand, received, gains, None, start=sub))
+    empty = tree_search(table._expand, received, gains, None,
+                        start=half.select(np.array([], dtype=np.intp)))
+    assert empty.trial.size == 0 and empty.level == params.num_segments
+
+
+def test_search_loop_operations_per_level():
+    # CandidateTable.costs runs this loop once per level for each of its two
+    # searches, so resuming and stopping a search are set up outside it:
+    # these are the numpy calls, operators and subscripts of one level.
+    source = textwrap.dedent(inspect.getsource(tree_search))
+    loop = next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.For))
+    ops = Counter(type(node).__name__ for stmt in loop.body
+                  for node in ast.walk(stmt)
+                  if isinstance(node, (ast.Call, ast.BinOp, ast.AugAssign,
+                                       ast.Compare, ast.Subscript)))
+    assert ops == {"Call": 11, "Subscript": 9, "AugAssign": 3, "Compare": 2,
+                   "BinOp": 2}
 
 
 @pytest.mark.parametrize("h", [1.0, 0.5, 3.0, 0.1, 1 / 3, 0.7])

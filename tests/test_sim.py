@@ -1,10 +1,13 @@
 """Simulation tests: trial semantics, reproducibility, batched-vs-scalar
 equivalence, sweep structure."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinalfade import (
     CapacityError,
@@ -26,6 +29,9 @@ from spinalfade import decoder, sim
 
 PARAMS = CodeParams(n=8, k=2, c=8, v=32, L=6)
 SMALL = CodeParams(n=4, k=2, c=4, v=32, L=2)
+# `sim.CERTIFY_SHARE` settings under which every block, or none, tries
+# error certificates.
+CERTIFY_ALWAYS, CERTIFY_NEVER = 0.0, math.inf
 
 
 def scalar_loop(params, model, sigma, seed, start, count):
@@ -92,13 +98,82 @@ def test_batched_matches_scalar_loop(model):
     # a last axis part ways: ties from collisions, then plain costs
     (CodeParams(n=8, k=2, c=4, v=4, L=9), FadingModel.rayleigh(1.0), 12.0, None, 0),
     (CodeParams(n=6, k=2, c=8, v=32, L=12), FadingModel.rician(1.0, 1.0), 4.0, None, 7),
+    # n/k = 1: the level-0 frontier is the leaves, so there is nothing to
+    # descend; n/k = 2: one level to descend
+    (CodeParams(n=8, k=8, c=8, v=32, L=6), FadingModel.rayleigh(1.0), 0.0, None, 0),
+    (CodeParams(n=8, k=4, c=8, v=32, L=6), FadingModel.rayleigh(1.0), 2.0, None, 0),
 ])
-def test_frontier_matches_scalar_loop(constant_gain, params, model, snr_db, gain, start):
+def test_frontier_matches_scalar_loop(monkeypatch, constant_gain, params, model,
+                                      snr_db, gain, start):
     if gain is not None:
         constant_gain(gain)
     sigma = snr_to_sigma(snr_db, model, params.c)
     loop = scalar_loop(params, model, sigma, 11, start, 300)
     assert count_errors(params, model, sigma, 11, start, 300) == loop
+    for share in (CERTIFY_ALWAYS, CERTIFY_NEVER):
+        monkeypatch.setattr(sim, "CERTIFY_SHARE", share)
+        assert count_errors(params, model, sigma, 11, start, 300) == loop
+
+
+@st.composite
+def block_cases(draw):
+    k = draw(st.integers(1, 3))
+    params = CodeParams(n=k * draw(st.integers(1, 10 // k)), k=k,
+                        c=draw(st.integers(1, 8)), v=draw(st.integers(2, 32)),
+                        L=draw(st.integers(1, 12)))
+    model = draw(st.sampled_from([
+        FadingModel.rayleigh(1.0), FadingModel.nakagami(2.0, 0.5),
+        FadingModel.rician(1.0, 2.0)]))
+    sigma = snr_to_sigma(draw(st.floats(-5.0, 25.0)), model, params.c)
+    silent = draw(st.sets(st.integers(0, 39), max_size=40))   # zero-gain trials
+    return (params, model, sigma, draw(st.integers(0, 2 ** 32)),
+            draw(st.integers(0, 10 ** 6)), draw(st.integers(1, 40)), silent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_cases())
+def test_certificates_do_not_change_counts_property(case):
+    params, model, sigma, seed, start, count, silent = case
+    right = sim.gains_from_uniforms
+
+    def gains(model, u):
+        out = right(model, u)
+        out[..., [t for t in silent if t < out.shape[-1]]] = 0.0
+        return out
+
+    counts = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "gains_from_uniforms", gains)
+        for share in (CERTIFY_ALWAYS, CERTIFY_NEVER):
+            patch.setattr(sim, "CERTIFY_SHARE", share)
+            counts.append(count_errors(params, model, sigma, seed, start, count))
+    assert counts[0] == counts[1]
+
+
+def test_forced_certificates_settle_trials_at_0db(monkeypatch):
+    # At 0 dB most trials are errors: the forced rule certifies some of them
+    # after level 0, so the rest of the search starts from fewer trials.
+    model = FadingModel.rayleigh(1.0)
+    sigma = snr_to_sigma(0.0, model, PARAMS.c)
+    calls = []
+    right = sim.tree_search
+
+    def recording(expand, received, gains, threshold, start=None, stop=None):
+        out = right(expand, received, gains, threshold, start=start, stop=stop)
+        calls.append((threshold is None, start, out))
+        return out
+
+    monkeypatch.setattr(sim, "tree_search", recording)
+    monkeypatch.setattr(sim, "CERTIFY_SHARE", CERTIFY_ALWAYS)
+    errors = count_errors(PARAMS, model, sigma, 3, 0, 500)
+    (_, _, level0), (greedy, picked, _), (_, resumed, _) = calls
+    assert greedy and picked.level == level0.level == 1
+    settled = np.unique(level0.trial).size - np.unique(resumed.trial).size
+    assert 0 < settled <= errors
+    monkeypatch.setattr(sim, "CERTIFY_SHARE", CERTIFY_NEVER)
+    calls.clear()
+    assert count_errors(PARAMS, model, sigma, 3, 0, 500) == errors
+    assert [greedy for greedy, _, _ in calls] == [False, False]
 
 
 def test_paper_batch_is_searched_in_one_block():
