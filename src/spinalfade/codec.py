@@ -9,9 +9,10 @@ symbols.  The uniform constellation map sends a c-bit word to its integer
 value, so the symbol matrix holds plain integers in {0, ..., 2^c - 1}.
 
 `child_spines` is the one hashing step.  `encode_rows` walks it down a
-batch of messages at once (`encode` is its one-message case, and the Monte
-Carlo path its batch case), and `codebook_levels` walks it over every
-prefix of the codebook; `symbol_rows` turns spines into symbols for both.
+batch of messages at once (`encode` is its one-message case), the Monte
+Carlo path (`sim.count_errors`) down each sent path together with the
+sent prefixes' siblings, and `codebook_levels` over every prefix of the
+codebook; `symbol_rows` turns spines into symbols for all three.
 Symbol arrays are pass-major: the L passes of a spine lie on the leading
 axis, so every elementwise step of the hashing runs along the long axis
 of spines, not the short one of passes.

@@ -5,8 +5,8 @@ frame given the known gains.  Candidates form a depth-(n/k) tree with 2^k
 branches per node and one symbol row per node.  `tree_search` is the one
 search over it: `ml_decode` calls it with a radius from a greedy descent,
 and the Monte Carlo path (`sim.count_errors`) with the sent message's cost,
-resuming it from its own level-0 frontier after greedy descents that can
-settle a trial early.
+starting it from the siblings of the sent path, level by level, after
+greedy descents from those siblings that can settle a trial early.
 
 The search's arrays are pass-major: received values and gains come as
 (n/k, L, frames), a level's children as (2^k, N) and their symbols as
@@ -46,10 +46,14 @@ MEMORY_BUDGET = 256 << 20
 # What a leaf of a search that prunes nothing costs: a fixed part plus a
 # part per symbol pass.  The two constants cover the peak traced by
 # tracemalloc for k in 1..6 and L in 1..20 with zero gains, on trees of
-# 2^12 to 2^15 leaves: at most 0.95 of `tree_bytes` for one Monte Carlo
-# frame, 0.68 for eight, 0.85 for one table build and 0.87 for one
-# `ml_decode`, each at k=1.  A tree of 2^10 leaves can pass it by 11%
-# (about 70 KB of hashing temporaries that do not grow with the tree).
+# 2^12 to 2^15 leaves: at most 0.85 of `tree_bytes` for one table build
+# and 0.87 for one `ml_decode`, each at k=1.  A Monte Carlo frame with
+# zero gains is certified by its sent path's siblings and stays under 0.14;
+# with its leaf threshold lowered so that nothing certifies, it searches
+# the whole tree and peaks at 0.67 for one frame and 0.54 for eight, at
+# k=1 and L=1 (tests/test_sim.py checks the bound), and at 0.91 on a
+# tree of 2^10 leaves.  There a table build or `ml_decode` can pass it by
+# 11% (about 70 KB of hashing temporaries that do not grow with the tree).
 _NODE_BYTES = 80
 _NODE_ROW_BYTES = 32
 
@@ -129,11 +133,11 @@ def tree_search(expand, received: np.ndarray, gains: np.ndarray,
 
     A search resumed from its own level-a frontier (`stop=a`, then
     `start=` that frontier) returns the same leaves, bit for bit, as one
-    that runs through, and a search started from a subset of a frontier
-    returns exactly the leaves below that subset: each level only adds to
-    its parents' costs.  So the level-0 step, a greedy descent from
-    chosen prefixes and the rest of a thresholded search are all this one
-    loop.
+    that runs through, and a search started from a subset of a frontier,
+    or from any prefixes costed as it would cost them, returns exactly
+    the leaves below them: each level only adds to its parents' costs.
+    So a greedy descent from chosen prefixes and a thresholded search
+    that takes in more prefixes level by level are both this one loop.
 
     Costs are sums of non-negative row distances added root to leaf, and
     adding a non-negative double never lowers the rounded sum, so a prefix

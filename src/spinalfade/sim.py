@@ -10,23 +10,28 @@ reproduces it draw for draw.
 The sent message is known, so a trial is a frame error iff some other
 candidate has cost <= C_s + TIE_TOLERANCE, C_s being the sent cost: that
 is `run_trial`'s rule (the minimizer is not the sent message, or two
-candidates tie on the minimum).  `count_errors` hashes the sent path for
-the received frame and C_s, then asks `decoder.tree_search`, which
-`ml_decode` uses too, for the leaves within that threshold.  A prefix is
-dropped once its cost plus a lower bound on any completion passes it
-(`decoder.lookahead_thresholds`), and a trial already shown to be an error
-by one such leaf, its certificate, leaves the search (see `count_errors`).
-On the paper code (four paper channels, 2,048-trial blocks) the search
-hashes about 72 of the 340 nodes per trial at 0 dB, 73 at 2 dB and 66 at
-4 dB (139, 104 and 73 without certificates; 180, 133 and 91 without the
-lookahead bound either), and 16 to 17 at 16 dB and above, where no block
-tries certificates.  With nothing to prune it is the whole tree, so
-blocks are sized for that worst case.
+candidates tie on the minimum).  Every other candidate leaves the sent
+path at exactly one segment a, through a sibling: a level-a child of the
+sent prefix other than the sent one.  So `count_errors` walks the sent
+path once, hashing the 2^k children of each sent prefix (the ladder),
+which gives the received frame, C_s and every sibling's cost, and then
+searches outward from the siblings with `decoder.tree_search`, which
+`ml_decode` uses too: every leaf that search keeps is a non-sent leaf
+within the threshold.  A prefix is dropped once its cost plus a lower
+bound on any completion passes it (`decoder.lookahead_thresholds`), and a
+trial already shown to be an error by one such leaf, its certificate,
+leaves the search (see `count_errors`).  On the paper code (four paper
+channels, 2,048-trial blocks) a trial hashes, sent path included, about
+46 of the 340 spines of its tree at 0 dB, 53 at 2 and 4 dB, 42 at 6 dB,
+32 at 8 dB and 16 to 17 from 16 dB on (80, 68 and 54 at 0, 2 and 4 dB
+without certificates).  With nothing to prune the search is the whole
+tree, so blocks are sized for that worst case.
 
-A block lays out its gains, noise and sent symbols pass-major, as
-(n/k, L, trials), the layout `tree_search` takes.  C_s adds each row's
-passes left to right and the rows root to leaf, the order in which the
-search adds up the sent leaf's cost, so the two agree bit for bit.
+A block lays out its gains, noise and received values pass-major, as
+(n/k, L, trials), the layout `tree_search` takes.  The ladder's row costs
+add each row's passes left to right, as the search adds a child's, and
+C_s and the siblings' costs add rows root to leaf, so each agrees bit for
+bit with the cost the search gives that prefix.
 
 Re-keying the codebook per trial makes the estimator target the
 ensemble-average error probability, which is the quantity the analytical
@@ -57,12 +62,12 @@ from .codec import (
     code_keys,
     codebook_levels,  # noqa: F401  (looked up here by perfbench/tracing.py)
     encode,
-    encode_rows,
     random_message,
     symbol_rows,
 )
 from .decoder import (
     TIE_TOLERANCE,
+    Frontier,
     lookahead_thresholds,
     ml_decode,
     tree_search,
@@ -83,13 +88,14 @@ DEFAULT_BATCH = 2_048
 # Threads one point may run on.  Each checkpoint is split into at least one
 # job per worker, so an unbounded count could start a thread per trial.
 MAX_WORKERS = 256
-# A block tries error certificates only when at least this share of its
-# trials keeps a non-sent prefix after level 0, since descents that certify
-# nothing are wasted.  On the paper code (four paper channels, 2,048-trial
-# blocks) the share is 0.93-0.99 at 0-4 dB, about 0.91 at 5 dB, 0.87 at
-# 6 dB, 0.74 at 8 dB and at most 0.14 from 16 dB on.  Descents roughly
-# halve the time of a block at 0-2 dB, break even near 5 dB and cost
-# 8-13% at 6-8 dB.
+# Greedy certificates from the level-a siblings run only when at least
+# this share of the block's open trials keeps one, since descents that
+# certify nothing are wasted.  On the paper code (four paper channels,
+# 2,048-trial blocks), spines hashed per trial at 0, 2, 4, 6 and 8 dB are
+# 46.0, 53.3, 53.6, 41.6 and 31.5 at 0.9; 40.6, 45.5, 48.7, 47.4 and 41.8
+# at 0.5; and 80.2, 68.1, 54.4, 41.6 and 31.5 with no descents.  In time,
+# 0.5 gains 6-14% over 0.9 at 0-4 dB but loses 14-16% at 6-8 dB, and no
+# descents at all doubles the time at 0 dB.
 CERTIFY_SHARE = 0.9
 
 
@@ -160,17 +166,23 @@ def count_errors(params: CodeParams, model: FadingModel, sigma: float,
     rule.  Trials are searched in blocks of `trials_per_block(params)`.
 
     A trial is an error as soon as one non-sent leaf lies within its
-    threshold, so the search need not find them all.  After level 0, a
-    block in which at least `CERTIFY_SHARE` of the trials keep a prefix
-    other than the sent segment descends greedily from each such trial's
-    cheapest one to a leaf, through `decoder.tree_search` with no
-    threshold.  A leaf within the last threshold row certifies its trial
-    as an error and the trial's prefixes leave the frontier; the other
-    trials are searched in full.  The count is exact whichever trials
-    descend: a certificate is a real non-sent leaf, its cost is added root
-    to leaf in the search's own order, so it is the cost the full search
-    would give that leaf, and the full search keeps every leaf within the
-    last row.  So the counts do not depend on how trials fall into blocks.
+    threshold, so the search need not find them all.  Each non-sent leaf
+    lies below exactly one sibling of the sent path (see the module
+    docstring), and each sibling's cost is tested against its threshold
+    row as the search would test it.  A last-level sibling within it is
+    such a leaf and certifies its trial at once.  Then, level by level
+    from the deepest, when at least `CERTIFY_SHARE` of the trials still
+    open keep a surviving level-a sibling, each such trial descends
+    greedily from its cheapest one to a leaf, through `decoder.tree_search`
+    with no threshold; a leaf within the last threshold row certifies the
+    trial.  The open trials' surviving siblings then join the thresholded
+    search at the level below their own, and the sent prefix never does,
+    so every leaf that search keeps is an error witness.  The count is
+    exact whichever trials descend: a certificate is a real non-sent
+    leaf, its cost is added root to leaf in the search's own order, so it
+    is the cost the full search would give that leaf, and the full search
+    keeps every leaf within the last row.  So the counts do not depend on
+    how trials fall into blocks.
     """
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
@@ -189,59 +201,87 @@ def _count_block(params: CodeParams, model: FadingModel, sigma: float,
     hash_keys, rng_keys = code_keys(
         absorb(absorb(CODEBOOK_DOMAIN, np.uint64(seed)), indices))
 
-    words = stream_at(keys, np.uint64(0)) & np.uint64((1 << params.n) - 1)
+    # Counter 0 holds the message word, then come the gain uniforms, then
+    # the noise uniforms.
     draws = 2 * grid_size if model.kind == RICIAN else grid_size
-    ctr = np.arange(1, 1 + draws, dtype=np.uint64)
-    u = uniforms_from_raw(stream_at(keys, ctr[:, None]))
+    ctr = np.arange(1 + draws + grid_size, dtype=np.uint64)
+    raw = stream_at(keys, ctr[:, None])
+    words = raw[0] & np.uint64((1 << params.n) - 1)
+    u = uniforms_from_raw(raw)
+    gain_u = u[1:1 + draws]
     if model.kind == RICIAN:
-        u = np.moveaxis(u.reshape(grid_size, 2, count), 1, 2)
-    gains = gains_from_uniforms(model, u).reshape(rows, L, count)
-    ctr = np.arange(1 + draws, 1 + draws + grid_size, dtype=np.uint64)
-    noise = sigma * ndtri(uniforms_from_raw(stream_at(keys, ctr[:, None])))
-    noise = noise.reshape(rows, L, count)
+        gain_u = np.moveaxis(gain_u.reshape(grid_size, 2, count), 1, 2)
+    gains = gains_from_uniforms(model, gain_u).reshape(rows, L, count)
+    noise = sigma * ndtri(u[1 + draws:]).reshape(rows, L, count)
 
-    # The sent path: the received frame and the cost C_s of the sent message.
-    # Passes are added left to right and rows root to leaf, as `tree_search`
-    # adds a leaf's, so C_s is bit for bit the cost the search gives the
-    # sent leaf.  The passes are added one by one because numpy's sum over
-    # them would go pairwise for a block of one trial.
+    # The ladder: the 2^k children of every sent prefix, hashed level by
+    # level down the sent path.  A child's row cost is what `tree_search`
+    # gives it, the passes added left to right over the leading axis (the
+    # 2^k >= 2 columns keep numpy from summing pairwise, even for one
+    # trial); the sent entries give the received frame and the sent row
+    # costs, and C_s adds those root to leaf, as the search adds the sent
+    # leaf's.
     shifts = np.arange(params.n - params.k, -1, -params.k, dtype=np.uint64)
-    sent = encode_rows(hash_keys, rng_keys,
-                       (words >> shifts[:, None]) & np.uint64((1 << params.k) - 1), params)
-    received = gains * sent + noise
-    dist = (received - gains * sent) ** 2
-    row_cost = dist[:, 0].copy()
-    for j in range(1, L):
-        row_cost += dist[:, j]
-    sent_cost = row_cost.cumsum(axis=0)[-1]
-
+    prefixes = (words >> shifts[:, None]).astype(np.int64)
+    sent_seg = prefixes & ((1 << params.k) - 1)
     segs = np.arange(1 << params.k, dtype=np.uint64)[:, None]
+    ladder = np.empty((rows, len(segs), count), dtype=np.uint64)
+    cost = np.empty((rows, len(segs), count))
+    received = np.empty((rows, L, count))
+    spine = np.uint64(0)
+    for a in range(rows):
+        ladder[a] = child_spines(hash_keys, spine, segs, params)
+        spine = np.take_along_axis(ladder[a], sent_seg[a][None], axis=0)[0]
+        x = symbol_rows(rng_keys, ladder[a], params)
+        sent = np.take_along_axis(x, sent_seg[a][None, None], axis=1)[:, 0]
+        np.add(gains[a] * sent, noise[a], out=received[a])
+        x *= gains[a][:, None]
+        np.subtract(received[a][:, None], x, out=x)
+        x *= x
+        x.sum(axis=0, out=cost[a])
+    sent_cost = np.take_along_axis(cost, sent_seg[:, None], axis=1)[:, 0].cumsum(axis=0)
+    cost[1:] += sent_cost[:-1, None]
+    thresholds = lookahead_thresholds(received, gains, params.symbol_mask,
+                                      sent_cost[-1] + TIE_TOLERANCE)
+
+    # A sibling is a child of a sent prefix other than the sent one.  Each
+    # is tested against its threshold row as the search would test it; a
+    # last-level one within it is a leaf, so it certifies its trial.
+    survive = cost <= thresholds[:, None]
+    np.put_along_axis(survive, sent_seg[:, None], False, axis=1)
+    certified = survive[-1].any(axis=0)
 
     def expand(a, trial, spines):
         children = child_spines(hash_keys[trial], spines, segs, params)
         return children, symbol_rows(rng_keys[trial], children, params)
 
-    thresholds = lookahead_thresholds(received, gains, params.symbol_mask,
-                                      sent_cost + TIE_TOLERANCE)
-    frontier = tree_search(expand, received, gains, thresholds, stop=1)
+    def siblings(a, seg, trial):
+        return Frontier(a + 1, trial, ladder[a, seg, trial],
+                        prefixes[a, trial] - sent_seg[a, trial] + seg,
+                        cost[a, seg, trial])
 
-    # Certificates (see `count_errors`): every leaf below a level-0 prefix
-    # other than the sent segment is a non-sent leaf.
-    lost = frontier.value != (words >> shifts[0]).astype(np.int64)[frontier.trial]
-    certified = np.zeros(count, dtype=bool)
-    if (np.count_nonzero(np.bincount(frontier.trial[lost], minlength=count))
-            >= CERTIFY_SHARE * count):
-        pick = np.flatnonzero(lost)
-        pick = pick[np.argsort(frontier.cost[pick], kind="stable")]
-        pick = pick[np.unique(frontier.trial[pick], return_index=True)[1]]
-        leaf = tree_search(expand, received, gains, None,
-                           start=frontier.select(pick))
-        certified[leaf.trial[leaf.cost <= thresholds[-1].take(leaf.trial)]] = True
-        frontier = frontier.select(~certified[frontier.trial])
-    leaves = tree_search(expand, received, gains, thresholds, start=frontier)
-    wrong = leaves.value != words.astype(np.int64)[leaves.trial]
-    return (int(np.count_nonzero(certified))
-            + int(np.unique(leaves.trial[wrong]).size))
+    for a in range(rows - 2, -1, -1):
+        have = survive[a].any(axis=0) & ~certified
+        chosen = np.count_nonzero(have)
+        if chosen and chosen >= CERTIFY_SHARE * (count - np.count_nonzero(certified)):
+            trial = np.flatnonzero(have)
+            seg = np.where(survive[a], cost[a], np.inf)[:, trial].argmin(axis=0)
+            leaf = tree_search(expand, received, gains, None,
+                               start=siblings(a, seg, trial))
+            certified[leaf.trial[leaf.cost <= thresholds[-1].take(leaf.trial)]] = True
+
+    # The open trials' siblings join the search at the level below their
+    # own, so every leaf it keeps is a non-sent leaf within the threshold.
+    survive &= ~certified
+    frontier = siblings(0, *np.nonzero(survive[0]))
+    for a in range(1, rows):
+        if frontier.trial.size:
+            frontier = tree_search(expand, received, gains, thresholds,
+                                   start=frontier, stop=a + 1)
+        joined = zip(frontier[1:], siblings(a, *np.nonzero(survive[a]))[1:])
+        frontier = Frontier(a + 1, *map(np.concatenate, joined))
+    certified[frontier.trial] = True
+    return int(np.count_nonzero(certified))
 
 
 def estimate_fer(params: CodeParams, model: FadingModel, sigma: float,

@@ -151,29 +151,86 @@ def test_certificates_do_not_change_counts_property(case):
 
 
 def test_forced_certificates_settle_trials_at_0db(monkeypatch):
-    # At 0 dB most trials are errors: the forced rule certifies some of them
-    # after level 0, so the rest of the search starts from fewer trials.
+    # At 0 dB most trials are errors: with descents forced at every level,
+    # deepest first, greedy descents from the siblings certify some trials,
+    # which then never enter the thresholded search.
     model = FadingModel.rayleigh(1.0)
     sigma = snr_to_sigma(0.0, model, PARAMS.c)
-    calls = []
-    right = sim.tree_search
+    calls, rows = [], []
+    search, lookahead = sim.tree_search, sim.lookahead_thresholds
 
     def recording(expand, received, gains, threshold, start=None, stop=None):
-        out = right(expand, received, gains, threshold, start=start, stop=stop)
+        out = search(expand, received, gains, threshold, start=start, stop=stop)
         calls.append((threshold is None, start, out))
         return out
 
+    def recording_rows(*args):
+        rows.append(lookahead(*args))
+        return rows[-1]
+
     monkeypatch.setattr(sim, "tree_search", recording)
+    monkeypatch.setattr(sim, "lookahead_thresholds", recording_rows)
     monkeypatch.setattr(sim, "CERTIFY_SHARE", CERTIFY_ALWAYS)
     errors = count_errors(PARAMS, model, sigma, 3, 0, 500)
-    (_, _, level0), (greedy, picked, _), (_, resumed, _) = calls
-    assert greedy and picked.level == level0.level == 1
-    settled = np.unique(level0.trial).size - np.unique(resumed.trial).size
-    assert 0 < settled <= errors
+    (leaf_row,) = [r[-1] for r in rows]
+    greedy = [(start, out) for g, start, out in calls if g]
+    assert [start.level for start, _ in greedy] == [3, 2, 1]
+    settled = np.unique(np.concatenate(
+        [out.trial[out.cost <= leaf_row.take(out.trial)] for _, out in greedy]))
+    searched = np.concatenate([start.trial for g, start, _ in calls if not g])
+    assert 0 < settled.size <= errors and searched.size
+    assert not np.isin(settled, searched).any()
     monkeypatch.setattr(sim, "CERTIFY_SHARE", CERTIFY_NEVER)
     calls.clear()
     assert count_errors(PARAMS, model, sigma, 3, 0, 500) == errors
-    assert [greedy for greedy, _, _ in calls] == [False, False]
+    assert calls and not any(g for g, _, _ in calls)
+
+
+# `count_errors` of the paper code at seed 0, 2,048 trials, at
+# PAPER_PIN_SNRS dB: the reproducibility contract, pinned.
+PAPER_PIN_SNRS = (0.0, 2.0, 4.0, 8.0, 16.0, 30.0)
+PAPER_PINS = [
+    (FadingModel.rayleigh(1.0), [1680, 1438, 1111, 394, 14, 0]),
+    (FadingModel.nakagami(2.0, 1.0), [1663, 1389, 1023, 319, 12, 0]),
+    (FadingModel.rician(0.5, 1.0), [1636, 1389, 1076, 405, 11, 0]),
+    (FadingModel.rician(1.0, 1.0), [1627, 1376, 1057, 397, 8, 0]),
+]
+
+
+@pytest.mark.parametrize("model, pinned", PAPER_PINS)
+def test_paper_counts_pinned(model, pinned):
+    assert [count_errors(PARAMS, model, snr_to_sigma(snr, model, PARAMS.c), 0, 0, 2_048)
+            for snr in PAPER_PIN_SNRS] == pinned
+
+
+@pytest.mark.parametrize("n, k", [(12, 1), (13, 1), (14, 1), (12, 2), (14, 2), (12, 6)])
+@pytest.mark.parametrize("L", [1, 6, 20])
+@pytest.mark.parametrize("trials", [1, 8])
+@pytest.mark.parametrize("certify", [True, False])
+def test_zero_gain_peak_within_tree_bytes(monkeypatch, constant_gain, n, k, L,
+                                          trials, certify):
+    # Zero gains prune nothing.  Every sibling then certifies its trial at
+    # once; with the leaf row lowered below every cost nothing certifies,
+    # and the search expands the whole tree but the sent path.
+    constant_gain(0.0)
+    if not certify:
+        right = sim.lookahead_thresholds
+
+        def no_leaf(*args):
+            out = right(*args)
+            out[-1] = -1.0
+            return out
+
+        monkeypatch.setattr(sim, "lookahead_thresholds", no_leaf)
+    params = CodeParams(n=n, k=k, c=8, v=32, L=L)
+    tracemalloc.start()
+    try:
+        errors = count_errors(params, FadingModel.rayleigh(1.0), 1.0, 0, 0, trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert errors == (trials if certify else 0)
+    assert peak <= decoder.tree_bytes(params) * trials
 
 
 def test_paper_batch_is_searched_in_one_block():
