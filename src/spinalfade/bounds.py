@@ -11,7 +11,10 @@ increasing in theta, so a right-endpoint sum over a partition of
 [0, pi/2] upper-bounds its integral; that sum, scaled by the number of
 competing candidates, gives the per-segment bound, and the frame bound
 follows by chaining segments.  Segments differ only in the exponent and
-the multiplicity, so one kernel evaluation per point serves them all.
+the multiplicity, so one evaluation of the pair terms per SNR point serves
+them all.  `pe_bound` takes an SNR grid's points a chunk at a time: one
+kernel call per chunk writes the pair terms of all its points into two
+chunk-sized work arrays.
 
 Numerical oracles live alongside the closed forms: adaptive quadrature of
 the defining fading integrals, a quadrature Q-function, and a Monte Carlo
@@ -28,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .channel import NAKAGAMI, RAYLEIGH, RICIAN, FadingModel, pdf
+from .channel import NAKAGAMI, RAYLEIGH, FadingModel, pdf
 from .codec import CodeParams, ConfigurationError
 from .mixing import CounterStream
 
@@ -88,47 +91,77 @@ def _family(model: FadingModel):
     pair, which is a function of frac = b / (omega d^2 + b) with
     b = 8 * scale * sigma^2 * sin^2(theta): frac itself for Rayleigh
     (scale 1), frac^m for Nakagami-m (scale m), and frac * exp(K frac - K)
-    for Rician (scale K + 1).  The terms are returned already multiplied
-    by the pair weights w, in that order, so every kernel value is rounded
-    exactly as the family formulas above are written.
+    for Rician (scale K + 1).  `pair_terms(w, frac, out)` writes the terms,
+    already multiplied by the pair weights w, into the array `out` and may
+    overwrite `frac`; every operation is the one the formula above spells,
+    in that order, so every kernel value is rounded exactly as it is
+    written.
     """
     if model.kind == RAYLEIGH:
-        return 1.0, lambda w, frac: w * frac
+        return 1.0, lambda w, frac, out: np.multiply(w, frac, out=out)
     if model.kind == NAKAGAMI:
         m = model.m
-        return m, lambda w, frac: w * frac ** m
+
+        def nakagami(w, frac, out):
+            frac **= m
+            return np.multiply(w, frac, out=out)
+
+        return m, nakagami
     K = model.K
-    return K + 1.0, lambda w, frac: w * frac * np.exp(K * frac - K)
+
+    def rician(w, frac, out):
+        np.multiply(w, frac, out=out)
+        np.multiply(K, frac, out=frac)
+        np.subtract(frac, K, out=frac)
+        np.exp(frac, out=frac)
+        return np.multiply(out, frac, out=out)
+
+    return K + 1.0, rician
 
 
-def kernel(model: FadingModel, theta, sigma: float, c: int, n_sym):
-    """Kernel of the given fading model at theta, raised to the n_sym
-    differing symbols; a float for scalar theta, else an array.
+# Words each of the kernel's two work arrays holds at most, unless a single
+# SNR point needs more: `pe_bound` hands the kernel as many sigmas at a time
+# as fit (6 at N = 20, c = 8), so a grid's pair terms are never held whole.
+_CHUNK = 1 << 15
 
-    n_sym broadcasts against theta: a column of counts against N thetas
-    gives one row per count from one evaluation of the pair terms.  The
-    equal-pair term is 1 for every theta and family (including the 0/0
-    point at theta = 0, by continuity), and at theta = 0 every unequal-pair
-    term vanishes, so the value there is 2^(-c * n_sym).  Nakagami at m = 1
-    and Rician at K = 0 reduce to Rayleigh.
+
+def kernel(model: FadingModel, theta, sigma, c: int, n_sym):
+    """Kernel of the given fading model at theta and sigma, raised to the
+    n_sym differing symbols; a float when all three are scalars, else an
+    array.
+
+    The pair terms are evaluated once on sigma's axes followed by theta's,
+    and n_sym broadcasts against that shape: a column of counts against N
+    thetas gives one row per count, and a column of sigmas against them
+    one block of such rows per sigma.  The equal-pair term is 1 for every
+    theta and family (including the 0/0 point at theta = 0, by continuity),
+    and at theta = 0 every unequal-pair term vanishes, so the value there
+    is 2^(-c * n_sym).  Nakagami at m = 1 and Rician at K = 0 reduce to
+    Rayleigh.
     """
     theta = np.asarray(theta, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
     scale, pair_terms = _family(model)
     d, w, diag = _pair_profile(c)
-    b_top = 8.0 * scale * sigma * sigma
-    if not math.isfinite(b_top):
+    largest = float(np.abs(sigma).max(initial=0.0))
+    if not math.isfinite(8.0 * scale * largest * largest):
         raise ConfigurationError(
             f"kernel scale 8 * {scale:g} * sigma^2 overflows "
-            f"(sigma = {sigma:g}, omega = {model.omega:g})")
-    b = b_top * np.sin(theta) ** 2
-    frac = b[..., None] / (model.omega * d * d + b[..., None])
-    out = np.exp(n_sym * np.log(diag + pair_terms(w, frac).sum(axis=-1)))
-    return float(out) if theta.ndim == 0 else out
+            f"(sigma = {largest:g}, omega = {model.omega:g})")
+    b = np.multiply.outer(8.0 * scale * sigma * sigma, np.sin(theta) ** 2)[..., None]
+    frac, terms = np.empty((2, *b.shape[:-1], d.size))
+    np.add(model.omega * d * d, b, out=frac)
+    np.divide(b, frac, out=frac)
+    total = diag + pair_terms(w, frac, terms).sum(axis=-1)
+    del frac, terms             # so that the kernel rows never coexist with them
+    out = np.exp(n_sym * np.log(total))
+    return float(out) if out.ndim == 0 else out
 
 
-def kernel_grid_sum(model: FadingModel, n_sym, sigma: float, c: int, grid: ThetaGrid):
+def kernel_grid_sum(model: FadingModel, n_sym, sigma, c: int, grid: ThetaGrid):
     """Right-endpoint weighted sum of the kernel over the theta grid (last
-    axis): a float for scalar n_sym, one sum per row for a column of them.
+    axis): a float for scalar n_sym and sigma, else one sum per row of the
+    kernel's array.
 
     Upper-bounds (1/pi) times the kernel's integral over [0, pi/2] because
     the kernel is non-decreasing in theta.
@@ -138,20 +171,27 @@ def kernel_grid_sum(model: FadingModel, n_sym, sigma: float, c: int, grid: Theta
     return float(sums) if sums.ndim == 0 else sums
 
 
-# Arrays of the pair-term shape (N, 2^c - 1) that one kernel call holds at
-# once: frac, its denominator or family transform, and the weighted terms.
-_PAIR_ARRAYS = {RAYLEIGH: 2, NAKAGAMI: 3, RICIAN: 4}
+def _pair_words(params: CodeParams) -> int:
+    """Words per theta node of each of the kernel's two work arrays, or of
+    its kernel rows (one per segment), whichever is wider."""
+    return max((1 << params.c) - 1, params.num_segments)
 
 
-def pe_bound_bytes(model: FadingModel, params: CodeParams, N: int) -> int:
-    """Peak bytes of one `pe_bound` over an N-cell grid, the grid included:
-    the pair terms, or two rows per segment (the kernel rows and their
-    weighted copy), beside a few theta- and pair-sized arrays.  Measured by
-    tracemalloc for c in 1..16 and up to 256 segments once arrays pass the
-    256 KiB from which numpy reuses temporaries (smaller calls stay < 4 MiB)."""
-    pairs = (1 << params.c) - 1
-    held = max(_PAIR_ARRAYS[model.kind] * pairs, 2 * params.num_segments)
-    return 8 * (N * (held + 8) + 4 * pairs)
+def _points_per_chunk(params: CodeParams, N: int) -> int:
+    """SNR points one kernel call of `pe_bound` takes over an N-cell grid:
+    as many as fit _CHUNK words, and at least one."""
+    return max(1, _CHUNK // (N * _pair_words(params)))
+
+
+def pe_bound_bytes(params: CodeParams, N: int) -> int:
+    """Peak bytes of one `pe_bound` point over an N-cell grid, the grid
+    included, once that point fills a kernel call on its own: the two work
+    arrays, or the kernel rows and their weighted copy, beside a few theta-
+    and pair-sized arrays.  Measured by tracemalloc for c in 1..16, up to
+    256 segments and all three families, at N from 3,000 to 300,000:
+    1.00 to 1.34 times the peak.  A 61-point call whose points share kernel
+    calls peaked at 0.74 MiB (c in 1..10, N up to 300)."""
+    return 8 * (N * (2 * _pair_words(params) + 8) + 4 * ((1 << params.c) - 1))
 
 
 def tail_symbols(params: CodeParams, a):
@@ -162,24 +202,38 @@ def tail_symbols(params: CodeParams, a):
     return (params.num_segments - a + 1) * params.L
 
 
-def pe_bound(params: CodeParams, model: FadingModel, sigma: float,
-             grid: ThetaGrid) -> BoundResult:
-    """Frame-error upper bound 1 - prod_a (1 - segment bound a).
+def pe_bound(params: CodeParams, model: FadingModel, sigma,
+             grid: ThetaGrid) -> BoundResult | list[BoundResult]:
+    """Frame-error upper bound 1 - prod_a (1 - segment bound a): one
+    BoundResult for a scalar sigma, a list of them, in order, for a 1-D
+    array or sequence of sigmas.
 
     Segment a bounds the chance that a is the first decoding error: the
     grid sum over its tail symbols, times the (2^k - 1) * 2^(n - a*k)
     candidates that agree on segments 1..a-1 and differ at a, clamped to 1.
+    Every point's segments share one evaluation of its pair terms, and
+    the kernel takes the points `_points_per_chunk` at a time.
     """
+    sigmas = np.asarray(sigma, dtype=np.float64)
+    if sigmas.ndim > 1:
+        raise ValueError(f"sigma must be a scalar or 1-D, got shape {sigmas.shape}")
+    column = sigmas.reshape(-1, 1)
     a = np.arange(1, params.num_segments + 1)
-    sums = kernel_grid_sum(model, tail_symbols(params, a)[:, None], sigma,
-                           params.c, grid)
+    n_sym = tail_symbols(params, a)[:, None]
+    per = _points_per_chunk(params, grid.weights.size)
+    sums = np.empty((column.shape[0], a.size))
+    for i in range(0, column.shape[0], per):
+        sums[i:i + per] = kernel_grid_sum(model, n_sym, column[i:i + per],
+                                          params.c, grid)
     # From n - a*k near 1024 on, the multiplicity overflows to inf; inf * sum
     # is inf, or nan where the sum underflowed to 0, and np.fmin clamps both
     # to 1, which is still a valid bound.
     with np.errstate(over="ignore", invalid="ignore"):
         mult = ((1 << params.k) - 1) * 2.0 ** (params.n - a * params.k)
         eps = np.fmin(1.0, mult * sums)
-    return BoundResult(segment_bounds=eps, pe=float(1.0 - np.prod(1.0 - eps)))
+    pe = 1.0 - (1.0 - eps).prod(axis=-1)
+    results = [BoundResult(segment_bounds=e, pe=float(p)) for e, p in zip(eps, pe)]
+    return results[0] if sigmas.ndim == 0 else results
 
 
 @lru_cache(maxsize=32)
@@ -211,11 +265,12 @@ def _check_theta(theta: float):
 def exp_moment(model: FadingModel, u: float, sigma: float, theta: float) -> float:
     """Closed-form average of exp(-(h*u)^2 / (8 sigma^2 sin^2 theta)) over
     the fading gain h: the per-pair factor inside `kernel`, from the same
-    family switch."""
+    family switch and so rounded as the kernel rounds it."""
     _check_theta(theta)
     scale, pair_terms = _family(model)
     b = 8.0 * scale * sigma * sigma * math.sin(theta) ** 2
-    return float(pair_terms(1.0, b / (model.omega * u * u + b)))
+    frac = np.array(b / (model.omega * u * u + b))
+    return float(pair_terms(1.0, frac, np.empty(())))
 
 
 def fading_integral_oracle(model: FadingModel, u: float, sigma: float,

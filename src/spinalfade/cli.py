@@ -203,7 +203,7 @@ def _code_model_grid(config: RunConfig):
     """Code, fading model and theta grid; the grid only once the peak of a
     `pe_bound` over it fits MEMORY_BUDGET."""
     params, model = config.code_params(), config.fading_model()
-    need = pe_bound_bytes(model, params, config.theta_points)
+    need = pe_bound_bytes(params, config.theta_points)
     if need > MEMORY_BUDGET:
         raise CapacityError(f"theta-points {config.theta_points} at c={params.c} needs "
                             f"{need >> 20} MiB, over the {MEMORY_BUDGET >> 20} MiB budget")
@@ -212,12 +212,12 @@ def _code_model_grid(config: RunConfig):
 
 def cmd_bound(config: RunConfig) -> int:
     params, model, grid = _code_model_grid(config)
-    rows = []
-    for snr_db in config.snr_values():
-        sigma = snr_to_sigma(snr_db, model, params.c)
-        bound = pe_bound(params, model, sigma, grid)
-        rows.append(dict(snr_db=snr_db, sigma=sigma, pe_bound=bound.pe,
-                         segment_bounds=list(bound.segment_bounds)))
+    snrs = config.snr_values()
+    sigmas = [snr_to_sigma(snr_db, model, params.c) for snr_db in snrs]
+    rows = [dict(snr_db=snr_db, sigma=sigma, pe_bound=bound.pe,
+                 segment_bounds=list(bound.segment_bounds))
+            for snr_db, sigma, bound in zip(snrs, sigmas,
+                                            pe_bound(params, model, sigmas, grid))]
     return _emit(config, _render(config, rows))
 
 

@@ -102,11 +102,6 @@ class Frontier(NamedTuple):
     value: np.ndarray
     cost: np.ndarray
 
-    def select(self, index) -> Frontier:
-        """The prefixes at `index` (integer or boolean), in that order."""
-        return Frontier(self.level, self.trial[index], self.node[index],
-                        self.value[index], self.cost[index])
-
 
 def tree_search(expand, received: np.ndarray, gains: np.ndarray,
                 threshold: np.ndarray | None, start: Frontier | None = None,

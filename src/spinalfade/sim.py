@@ -331,7 +331,8 @@ def estimate_fer(params: CodeParams, model: FadingModel, sigma: float,
 def sweep(params: CodeParams, model: FadingModel, snr_grid, trials: int,
           seed: int, grid: ThetaGrid, workers: int = 1,
           early_stop_errors: int | None = None, min_trials: int = 0) -> list[SweepRow]:
-    """Simulated FER and analytical bound at each SNR point.
+    """Simulated FER and analytical bound at each SNR point; one
+    `pe_bound` call gives the bounds of the whole grid.
 
     Each point re-keys its run seed from (seed, point index) so points are
     statistically independent; rows come back in grid order.
@@ -339,13 +340,13 @@ def sweep(params: CodeParams, model: FadingModel, snr_grid, trials: int,
     snr_grid = list(snr_grid)
     if not snr_grid:
         raise ConfigurationError("SNR grid must be non-empty")
+    sigmas = [snr_to_sigma(snr_db, model, params.c) for snr_db in snr_grid]
     rows = []
-    for i, snr_db in enumerate(snr_grid):
-        sigma = snr_to_sigma(snr_db, model, params.c)
+    for i, (snr_db, sigma, bound) in enumerate(
+            zip(snr_grid, sigmas, pe_bound(params, model, sigmas, grid))):
         point_seed = int(absorb(absorb(SWEEP_DOMAIN, np.uint64(seed)), np.uint64(i)))
         fer = estimate_fer(params, model, sigma, trials, point_seed,
                            workers=workers, early_stop_errors=early_stop_errors,
                            min_trials=min_trials)
-        rows.append(SweepRow(snr_db=float(snr_db), sigma=sigma, fer=fer,
-                             bound=pe_bound(params, model, sigma, grid)))
+        rows.append(SweepRow(snr_db=float(snr_db), sigma=sigma, fer=fer, bound=bound))
     return rows

@@ -28,7 +28,7 @@ from spinalfade import (
     tail_symbols,
     uniform_theta_grid,
 )
-from spinalfade import bounds
+from spinalfade import bounds, cli
 
 HALF_PI = math.pi / 2
 
@@ -207,6 +207,76 @@ def test_pe_bound_calls_kernel_once(monkeypatch):
     pe_bound(CodeParams(n=8, k=2, c=8, L=6), FadingModel.rayleigh(1.0), 1.0,
              uniform_theta_grid(20))
     assert len(calls) == 1
+
+
+ARRAY_MODELS = [FadingModel.rayleigh(1.0), FadingModel.nakagami(0.5, 1.0),
+                FadingModel.nakagami(2.0, 1.0), FadingModel.nakagami(2.7, 1.0),
+                FadingModel.rician(0.0, 1.0), FadingModel.rician(0.5, 1.0),
+                FadingModel.rician(3.0, 1.0)]
+ARRAY_IDS = ["rayleigh", "nakagami-0.5", "nakagami-2", "nakagami-2.7",
+             "rician-0", "rician-0.5", "rician-3"]
+
+
+@pytest.mark.parametrize("model", ARRAY_MODELS, ids=ARRAY_IDS)
+@pytest.mark.parametrize("c", [1, 4, 8, 10])
+@pytest.mark.parametrize("N", [1, 20, 97])
+def test_pe_bound_array_equals_points(model, c, N):
+    # n/k = 16 segments: at c = 1 and c = 4 the kernel rows, not the pair
+    # terms, size the chunk.  Grid sizes put a chunk boundary on every side.
+    params = CodeParams(n=16, k=1, c=c, L=6)
+    grid = uniform_theta_grid(N)
+    per = bounds._points_per_chunk(params, N)
+    for size in sorted({1, per - 1, per, per + 1, 61} - {0}):
+        sigmas = [snr_to_sigma(snr, model, c) for snr in np.linspace(-10.0, 40.0, size)]
+        results = pe_bound(params, model, np.array(sigmas), grid)
+        assert len(results) == size
+        for sigma, got in zip(sigmas, results):
+            want = pe_bound(params, model, sigma, grid)
+            assert got.pe == want.pe
+            assert np.array_equal(got.segment_bounds, want.segment_bounds)
+
+
+def test_bound_cli_calls_kernel_once_per_chunk(monkeypatch, capsys):
+    calls = []
+    pristine = bounds.kernel
+
+    def counted(*args):
+        calls.append(args)
+        return pristine(*args)
+
+    monkeypatch.setattr(bounds, "kernel", counted)
+    assert cli.main(["bound", "--snr-start", "0", "--snr-stop", "30",
+                     "--snr-step", "0.5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 62
+    per = bounds._CHUNK // (20 * 255)       # N = 20 cells, 2^8 - 1 pairs
+    assert per == 6
+    assert len(calls) == math.ceil(61 / per)
+    assert [np.size(args[2]) for args in calls] == [per] * 10 + [1]
+
+
+@pytest.mark.parametrize("model", [FadingModel.rayleigh(1.0), FadingModel.nakagami(2.7, 1.0),
+                                   FadingModel.rician(3.0, 1.0)],
+                         ids=["rayleigh", "nakagami", "rician"])
+def test_kernel_scale_overflow_anywhere_in_a_chunk(model):
+    # 8 * scale * sigma^2 overflows at 1e200 only; no RuntimeWarning (an
+    # error under the test settings) may come out first
+    params = CodeParams(n=8, k=2, c=8, L=6)
+    grid = uniform_theta_grid(20)
+    per = bounds._points_per_chunk(params, 20)
+    for at in [*range(per), per + 2]:
+        sigmas = np.ones(2 * per)
+        sigmas[at] = 1e200
+        with pytest.raises(ConfigurationError, match="overflows"):
+            pe_bound(params, model, sigmas, grid)
+
+
+def test_pe_bound_sigma_shapes():
+    params, model = CodeParams(n=8, k=2, c=8, L=6), FadingModel.rayleigh(1.0)
+    grid = uniform_theta_grid(20)
+    assert pe_bound(params, model, [], grid) == []
+    assert kernel(model, grid.thetas[1:], np.array([]), 8, 2).shape == (0, 20)
+    with pytest.raises(ValueError):
+        pe_bound(params, model, np.ones((2, 2)), grid)
 
 
 def test_pe_bound_saturates_in_deep_noise():

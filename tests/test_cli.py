@@ -276,6 +276,8 @@ def test_snr_beyond_sigma_range_exit_one(capsys, snr):
 @pytest.mark.parametrize("args", [
     ["--omega", "1e303", "--model", "nakagami", "--m", "8", "--snr-stop", "0"],
     ["--snr-start", "-3035", "--snr-stop", "-3035"],
+    # the first of two chunks: 3 points overflow, 3 do not
+    ["--snr-start", "-3033", "--snr-stop", "-3025", "--snr-step", "1"],
 ])
 def test_kernel_scale_overflow_exit_one(capsys, args):
     # sigma is finite, but 8 * scale * sigma^2 in the kernel is not
