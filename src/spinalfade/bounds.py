@@ -14,7 +14,8 @@ follows by chaining segments.  Segments differ only in the exponent and
 the multiplicity, so one evaluation of the pair terms per SNR point serves
 them all.  `pe_bound` takes an SNR grid's points a chunk at a time: one
 kernel call per chunk writes the pair terms of all its points into two
-chunk-sized work arrays.
+chunk-sized work arrays.  It returns the whole grid as one `BoundResult`
+of arrays, checked once over all its rows.
 
 Numerical oracles live alongside the closed forms: adaptive quadrature of
 the defining fading integrals, a quadrature Q-function, and a Monte Carlo
@@ -59,20 +60,37 @@ def uniform_theta_grid(N: int) -> ThetaGrid:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Per-segment bounds and the frame-error bound they chain into."""
+    """Per-segment bounds and the frame-error bounds they chain into, for
+    one SNR point or a grid of P points.
+
+    One point holds segment_bounds of shape (n/k,) and pe as a float; a
+    grid holds shapes (P, n/k) and (P,), row i being point i, and `row(i)`
+    gives that point on its own.  Construction checks every row at once:
+    each segment bound and each pe lies in [0, 1] (so NaN is refused), and
+    each pe equals its row's 1 - prod(1 - eps) to 1e-12 relative.
+    """
 
     segment_bounds: np.ndarray
-    pe: float
+    pe: float | np.ndarray
 
     def __post_init__(self):
         eps = np.asarray(self.segment_bounds, dtype=np.float64)
-        if np.any(eps < 0) or np.any(eps > 1):
+        pe = np.asarray(self.pe, dtype=np.float64)
+        if eps.ndim < 1 or pe.shape != eps.shape[:-1]:
+            raise ConfigurationError(
+                f"segment bounds of shape {eps.shape} do not match "
+                f"frame bounds of shape {pe.shape}")
+        if not np.all((eps >= 0.0) & (eps <= 1.0)):
             raise ConfigurationError("segment bounds must lie in [0, 1]")
-        if not 0.0 <= self.pe <= 1.0:
+        if not np.all((pe >= 0.0) & (pe <= 1.0)):
             raise ConfigurationError("frame bound must lie in [0, 1]")
-        chained = 1.0 - np.prod(1.0 - eps)
-        if abs(chained - self.pe) > 1e-12 * max(self.pe, 1e-300):
+        chained = 1.0 - np.prod(1.0 - eps, axis=-1)
+        if not np.all(np.abs(chained - pe) <= 1e-12 * np.maximum(pe, 1e-300)):
             raise ConfigurationError("frame bound inconsistent with segments")
+
+    def row(self, i: int) -> BoundResult:
+        """Point i of a grid result."""
+        return BoundResult(segment_bounds=self.segment_bounds[i], pe=float(self.pe[i]))
 
 
 def _pair_profile(c: int):
@@ -203,10 +221,10 @@ def tail_symbols(params: CodeParams, a):
 
 
 def pe_bound(params: CodeParams, model: FadingModel, sigma,
-             grid: ThetaGrid) -> BoundResult | list[BoundResult]:
-    """Frame-error upper bound 1 - prod_a (1 - segment bound a): one
-    BoundResult for a scalar sigma, a list of them, in order, for a 1-D
-    array or sequence of sigmas.
+             grid: ThetaGrid) -> BoundResult:
+    """Frame-error upper bound 1 - prod_a (1 - segment bound a), as one
+    BoundResult: of one point for a scalar sigma, of a grid, row i for
+    sigma i, for a 1-D array or sequence of P sigmas (P may be 0).
 
     Segment a bounds the chance that a is the first decoding error: the
     grid sum over its tail symbols, times the (2^k - 1) * 2^(n - a*k)
@@ -232,8 +250,9 @@ def pe_bound(params: CodeParams, model: FadingModel, sigma,
         mult = ((1 << params.k) - 1) * 2.0 ** (params.n - a * params.k)
         eps = np.fmin(1.0, mult * sums)
     pe = 1.0 - (1.0 - eps).prod(axis=-1)
-    results = [BoundResult(segment_bounds=e, pe=float(p)) for e, p in zip(eps, pe)]
-    return results[0] if sigmas.ndim == 0 else results
+    if sigmas.ndim == 0:
+        return BoundResult(segment_bounds=eps[0], pe=float(pe[0]))
+    return BoundResult(segment_bounds=eps, pe=pe)
 
 
 @lru_cache(maxsize=32)

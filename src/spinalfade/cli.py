@@ -154,31 +154,26 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _row_csv(config: RunConfig, row: dict) -> str:
-    sim_cols = (
-        [str(row["trials"]), str(row["errors"]), fmt(row["fer"]),
-         fmt(row["fer_stderr"])]
-        if "trials" in row else ["", "", "", ""]
-    )
-    cols = [config.model, str(config.n), str(config.k), str(config.c),
-            str(config.v), str(config.L), str(config.theta_points),
-            fmt(row["snr_db"]), fmt(row["sigma"])] + sim_cols + [fmt(row["pe_bound"])]
-    return ",".join(cols)
-
-
-def _render(config: RunConfig, rows: list[dict]) -> str:
+def _render(config: RunConfig, snr_db, sigma, pe, segment_bounds, sims=None) -> str:
+    """The output document of a run, from one list per column: SNR, sigma,
+    frame bound and segment bounds of each point, and for a simulation
+    each point's (trials, errors, fer, fer_stderr)."""
     if config.format == "csv":
-        return "\n".join([CSV_HEADER] + [_row_csv(config, r) for r in rows]) + "\n"
+        fixed = ",".join(map(str, (config.model, config.n, config.k, config.c,
+                                   config.v, config.L, config.theta_points)))
+        sim_cols = ([f"{t},{e},{fmt(f)},{fmt(se)}" for t, e, f, se in sims]
+                    if sims is not None else [",,,"] * len(pe))
+        lines = [f"{fixed},{fmt(snr)},{fmt(sig)},{sim},{fmt(p)}"
+                 for snr, sig, sim, p in zip(snr_db, sigma, sim_cols, pe)]
+        return "\n".join([CSV_HEADER, *lines]) + "\n"
     doc_rows = []
-    for row in rows:
-        out = {"snr_db": float(fmt(row["snr_db"])),
-               "sigma": float(fmt(row["sigma"])),
-               "pe_bound": float(fmt(row["pe_bound"])),
-               "segment_bounds": [float(fmt(e)) for e in row["segment_bounds"]]}
-        if "trials" in row:
-            out.update(trials=row["trials"], errors=row["errors"],
-                       fer=float(fmt(row["fer"])),
-                       fer_stderr=float(fmt(row["fer_stderr"])))
+    for i, (snr, sig, p, eps) in enumerate(zip(snr_db, sigma, pe, segment_bounds)):
+        out = {"snr_db": float(fmt(snr)), "sigma": float(fmt(sig)),
+               "pe_bound": float(fmt(p)),
+               "segment_bounds": [float(fmt(e)) for e in eps]}
+        if sims is not None:
+            t, e, f, se = sims[i]
+            out.update(trials=t, errors=e, fer=float(fmt(f)), fer_stderr=float(fmt(se)))
         doc_rows.append(out)
     settings = {key: value for key, value in asdict(config).items()
                 if key not in _NOT_IN_PAYLOAD}
@@ -214,11 +209,9 @@ def cmd_bound(config: RunConfig) -> int:
     params, model, grid = _code_model_grid(config)
     snrs = config.snr_values()
     sigmas = [snr_to_sigma(snr_db, model, params.c) for snr_db in snrs]
-    rows = [dict(snr_db=snr_db, sigma=sigma, pe_bound=bound.pe,
-                 segment_bounds=list(bound.segment_bounds))
-            for snr_db, sigma, bound in zip(snrs, sigmas,
-                                            pe_bound(params, model, sigmas, grid))]
-    return _emit(config, _render(config, rows))
+    bound = pe_bound(params, model, sigmas, grid)
+    return _emit(config, _render(config, snrs, sigmas, bound.pe.tolist(),
+                                 bound.segment_bounds.tolist()))
 
 
 def cmd_simulate(config: RunConfig) -> int:
@@ -227,12 +220,11 @@ def cmd_simulate(config: RunConfig) -> int:
                     config.seed, grid, workers=config.workers,
                     early_stop_errors=config.early_stop,
                     min_trials=config.min_trials)
-    rows = [dict(snr_db=r.snr_db, sigma=r.sigma, trials=r.fer.trials,
-                 errors=r.fer.errors, fer=r.fer.fer, fer_stderr=r.fer.stderr,
-                 pe_bound=r.bound.pe,
-                 segment_bounds=list(r.bound.segment_bounds))
-            for r in results]
-    return _emit(config, _render(config, rows))
+    return _emit(config, _render(
+        config, [r.snr_db for r in results], [r.sigma for r in results],
+        [r.bound.pe for r in results],
+        [r.bound.segment_bounds.tolist() for r in results],
+        [(r.fer.trials, r.fer.errors, r.fer.fer, r.fer.stderr) for r in results]))
 
 
 def cmd_verify(config: RunConfig) -> int:

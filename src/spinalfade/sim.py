@@ -332,7 +332,8 @@ def sweep(params: CodeParams, model: FadingModel, snr_grid, trials: int,
           seed: int, grid: ThetaGrid, workers: int = 1,
           early_stop_errors: int | None = None, min_trials: int = 0) -> list[SweepRow]:
     """Simulated FER and analytical bound at each SNR point; one
-    `pe_bound` call gives the bounds of the whole grid.
+    `pe_bound` call gives the bounds of the whole grid, and row i of that
+    result is point i's `SweepRow.bound`.
 
     Each point re-keys its run seed from (seed, point index) so points are
     statistically independent; rows come back in grid order.
@@ -341,12 +342,13 @@ def sweep(params: CodeParams, model: FadingModel, snr_grid, trials: int,
     if not snr_grid:
         raise ConfigurationError("SNR grid must be non-empty")
     sigmas = [snr_to_sigma(snr_db, model, params.c) for snr_db in snr_grid]
+    bounds = pe_bound(params, model, sigmas, grid)
     rows = []
-    for i, (snr_db, sigma, bound) in enumerate(
-            zip(snr_grid, sigmas, pe_bound(params, model, sigmas, grid))):
+    for i, (snr_db, sigma) in enumerate(zip(snr_grid, sigmas)):
         point_seed = int(absorb(absorb(SWEEP_DOMAIN, np.uint64(seed)), np.uint64(i)))
         fer = estimate_fer(params, model, sigma, trials, point_seed,
                            workers=workers, early_stop_errors=early_stop_errors,
                            min_trials=min_trials)
-        rows.append(SweepRow(snr_db=float(snr_db), sigma=sigma, fer=fer, bound=bound))
+        rows.append(SweepRow(snr_db=float(snr_db), sigma=sigma, fer=fer,
+                             bound=bounds.row(i)))
     return rows

@@ -228,11 +228,15 @@ def test_pe_bound_array_equals_points(model, c, N):
     per = bounds._points_per_chunk(params, N)
     for size in sorted({1, per - 1, per, per + 1, 61} - {0}):
         sigmas = [snr_to_sigma(snr, model, c) for snr in np.linspace(-10.0, 40.0, size)]
-        results = pe_bound(params, model, np.array(sigmas), grid)
-        assert len(results) == size
-        for sigma, got in zip(sigmas, results):
+        result = pe_bound(params, model, np.array(sigmas), grid)
+        assert result.segment_bounds.shape == (size, params.num_segments)
+        assert result.pe.shape == (size,)
+        for i, sigma in enumerate(sigmas):
             want = pe_bound(params, model, sigma, grid)
-            assert got.pe == want.pe
+            assert result.pe[i] == want.pe
+            assert np.array_equal(result.segment_bounds[i], want.segment_bounds)
+            got = result.row(i)
+            assert got.pe == want.pe and type(got.pe) is float
             assert np.array_equal(got.segment_bounds, want.segment_bounds)
 
 
@@ -273,7 +277,12 @@ def test_kernel_scale_overflow_anywhere_in_a_chunk(model):
 def test_pe_bound_sigma_shapes():
     params, model = CodeParams(n=8, k=2, c=8, L=6), FadingModel.rayleigh(1.0)
     grid = uniform_theta_grid(20)
-    assert pe_bound(params, model, [], grid) == []
+    empty = pe_bound(params, model, [], grid)
+    assert empty.segment_bounds.shape == (0, params.num_segments)
+    assert empty.pe.shape == (0,)
+    one = pe_bound(params, model, 1.0, grid)
+    assert one.segment_bounds.shape == (params.num_segments,)
+    assert type(one.pe) is float
     assert kernel(model, grid.thetas[1:], np.array([]), 8, 2).shape == (0, 20)
     with pytest.raises(ValueError):
         pe_bound(params, model, np.ones((2, 2)), grid)
@@ -336,10 +345,51 @@ def test_pe_bound_nonincreasing_in_snr(model):
 
 
 def test_bound_result_validation():
+    for eps, pe, message in [
+        ([0.5, 1.2], 1.0, "segment bounds must lie"),
+        ([0.5, 0.5], 0.9, "inconsistent"),
+        ([math.nan, 0.5], 0.5, "segment bounds must lie"),
+        ([0.5, 0.5], math.nan, "frame bound must lie"),
+        ([math.nan, math.nan], math.nan, "segment bounds must lie"),
+        ([0.5, 0.5], [0.75], "do not match"),
+    ]:
+        with pytest.raises(ConfigurationError, match=message):
+            BoundResult(segment_bounds=np.array(eps), pe=pe)
+
+
+def _grid_result():
+    params = CodeParams(n=8, k=2, c=8, L=6)
+    model = FadingModel.rayleigh(1.0)
+    sigmas = [snr_to_sigma(snr, model, 8) for snr in np.linspace(0.0, 30.0, 61)]
+    result = pe_bound(params, model, sigmas, uniform_theta_grid(20))
+    return result.segment_bounds.copy(), result.pe.copy()
+
+
+# Each fault leaves the other checks passing, so each check is tested alone.
+def _eps_over_one(eps, pe, i):
+    eps[i] = [np.nextafter(1.0, 2.0), 0.0, 0.0, 0.0]
+    pe[i] = 1.0
+
+
+def _pe_below_zero(eps, pe, i):
+    eps[i] = 0.0
+    pe[i] = -1e-320
+
+
+def _chain_off(eps, pe, i):
+    eps[i] = [0.3, 0.2, 0.1, 0.05]
+    pe[i] = (1.0 - np.prod(1.0 - eps[i])) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("fault", [_eps_over_one, _pe_below_zero, _chain_off],
+                         ids=["eps-over-1", "pe-below-0", "chain-off-1e-9"])
+@pytest.mark.parametrize("at", [0, 30, 60], ids=["first", "middle", "last"])
+def test_bound_result_grid_rejects_one_bad_row(fault, at):
+    eps, pe = _grid_result()
+    BoundResult(segment_bounds=eps, pe=pe)
+    fault(eps, pe, at)
     with pytest.raises(ConfigurationError):
-        BoundResult(segment_bounds=np.array([0.5, 1.2]), pe=1.0)
-    with pytest.raises(ConfigurationError):
-        BoundResult(segment_bounds=np.array([0.5, 0.5]), pe=0.9)
+        BoundResult(segment_bounds=eps, pe=pe)
 
 
 # --- Q-function ---------------------------------------------------------------

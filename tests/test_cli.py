@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -89,6 +90,39 @@ def test_help_exit_zero(capsys):
         main(["bound", "--help"])
     assert exc.value.code == 0
     assert "usage: spinalfade bound" in capsys.readouterr().out
+
+
+# sha256 of whole outputs: the 61-point 0-30 dB bound grid of three fading
+# families and one small simulate run, each in both formats.  Any change to
+# a number, its formatting or the document layout shows here.
+GOLDEN_GRID = ["--snr-start", "0", "--snr-stop", "30", "--snr-step", "0.5"]
+GOLDEN = [
+    (["bound", "--model", "rayleigh", *GOLDEN_GRID], "csv",
+     "524b0c452a6a4b5e995cae37257007f581fe9edba76392374901940e556542fc"),
+    (["bound", "--model", "rayleigh", *GOLDEN_GRID], "json",
+     "2e40f0fb148bfaa1b471062aa33e89f09c83e0163b2ff3efcac09fe7cce19676"),
+    (["bound", "--model", "nakagami", "--m", "2.7", *GOLDEN_GRID], "csv",
+     "7d35b784944a4d9c68b2db30f09c8ee4ddc936222510b7db6b3ef18f9dfcfffb"),
+    (["bound", "--model", "nakagami", "--m", "2.7", *GOLDEN_GRID], "json",
+     "fdbc88f85ad0dba88278c559faaff75e40acb5e508c3124abd70fad9e0740bc5"),
+    (["bound", "--model", "rician", "--K", "1", *GOLDEN_GRID], "csv",
+     "c37e9f85af2c646e5d1fccfbda00057a32dc31acfdc8434067a297f59a90045e"),
+    (["bound", "--model", "rician", "--K", "1", *GOLDEN_GRID], "json",
+     "b31befa4c79cc6ab42a50e8fc96bc82e327e27167b7f9872794b4d93c8395eb8"),
+    (["simulate", *SIM_ARGS], "csv",
+     "d98b7f8a0c3448c9e28a562b55cca8786c7064aa11739cdd6f74b622acb409fa"),
+    (["simulate", *SIM_ARGS], "json",
+     "9e946f85ead66f765d5c1d44d7d40e3916fda21580120727b37cfb7963eb8825"),
+]
+
+
+@pytest.mark.parametrize("args,fmt,digest", GOLDEN,
+                         ids=[f"{a[0]}-{a[2] if a[0] == 'bound' else 'small'}-{f}"
+                              for a, f, _ in GOLDEN])
+def test_golden_output_bytes(args, fmt, digest):
+    code, out = run_cli([*args, "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_simulate_reproducible_bytes(tmp_path):
