@@ -8,11 +8,11 @@ spine seeds a counter-mode generator whose c-bit outputs are the channel
 symbols.  The uniform constellation map sends a c-bit word to its integer
 value, so the symbol matrix holds plain integers in {0, ..., 2^c - 1}.
 
-`child_spines` is the one hashing step.  `encode_rows` walks it down a
-batch of messages at once (`encode` is its one-message case), the Monte
-Carlo path (`sim.count_errors`) down each sent path together with the
-sent prefixes' siblings, and `codebook_levels` over every prefix of the
-codebook; `symbol_rows` turns spines into symbols for all three.
+`child_spines` is the one hashing step.  `encode` walks it down one
+message, the Monte Carlo path (`sim.count_errors`) down each sent path
+together with the sent prefixes' siblings, and `codebook_levels` over
+every prefix of the codebook; `symbol_rows` turns spines into symbols for
+all three.
 Symbol arrays are pass-major: the L passes of a spine lie on the leading
 axis, so every elementwise step of the hashing runs along the long axis
 of spines, not the short one of passes.
@@ -101,10 +101,12 @@ def encode(message: Message, params: CodeParams, seed: int = 0) -> np.ndarray:
         raise ConfigurationError(
             f"message has {message.n} bits, params expect n={params.n}"
         )
-    mask = (1 << params.k) - 1
-    shifts = range(params.n - params.k, -1, -params.k)
-    segs = np.array([(message.value >> s) & mask for s in shifts], dtype=np.uint64)
-    return encode_rows(*code_keys(seed), segs, params).astype(np.int64, order="C")
+    hash_key, rng_key = code_keys(seed)
+    spines = [np.uint64(0)]
+    for shift in range(params.n - params.k, -1, -params.k):
+        seg = (message.value >> shift) & ((1 << params.k) - 1)
+        spines.append(child_spines(hash_key, spines[-1], seg, params))
+    return symbol_rows(rng_key, np.array(spines[1:]), params).T.astype(np.int64, order="C")
 
 
 def random_message(params: CodeParams, raw_word: int) -> Message:
@@ -139,22 +141,6 @@ def symbol_rows(rng_keys, spines, params: CodeParams) -> np.ndarray:
     raw = stream_at(base, ctr)
     raw &= np.uint64(params.symbol_mask)
     return raw.astype(np.float64)
-
-
-def encode_rows(hash_keys, rng_keys, segs, params: CodeParams) -> np.ndarray:
-    """Symbol rows of messages given as segment values, as float64.
-
-    `segs` has shape (n/k, ...), most significant segment first, and the
-    keys broadcast against `segs[0]`; the result has shape (n/k, L, ...).
-    The segments are folded into spines level by level, then every
-    spine's symbols come from one `symbol_rows` call.
-    """
-    spine = np.uint64(0)
-    spines = []
-    for seg in segs:
-        spine = child_spines(hash_keys, spine, seg, params)
-        spines.append(spine)
-    return symbol_rows(rng_keys, np.stack(spines), params).swapaxes(0, 1)
 
 
 def codebook_levels(params: CodeParams, seed: int) -> list[np.ndarray]:

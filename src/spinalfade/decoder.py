@@ -4,9 +4,10 @@ The decoder returns a candidate of least squared distance to the received
 frame given the known gains.  Candidates form a depth-(n/k) tree with 2^k
 branches per node and one symbol row per node.  `tree_search` is the one
 search over it: `ml_decode` calls it with a radius from a greedy descent,
-and the Monte Carlo path (`sim.count_errors`) with the sent message's cost,
-starting it from the siblings of the sent path, level by level, after
-greedy descents from those siblings that can settle a trial early.
+and the Monte Carlo path (`sim.count_errors`) with the sent message's cost
+from each level's siblings of the sent path, after greedy descents from
+those siblings that can settle a trial early.  A level that would pass
+MEMORY_BUDGET is searched a part of the frames at a time.
 
 The search's arrays are pass-major: received values and gains come as
 (n/k, L, frames), a level's children as (2^k, N) and their symbols as
@@ -41,42 +42,12 @@ BRUTE_FORCE_MAX_BITS = 16
 # Absolute.  Costs at the paper's parameters reach 1e5-1e6, where one ulp
 # is about 1e-11 to 1e-10, so there this amounts to exact equality.
 TIE_TOLERANCE = 1e-12
-# Bytes one search pass (per worker) or one kernel call may hold.
+# Bytes a search, a candidate table or a block's per-trial arrays may hold.
 MEMORY_BUDGET = 256 << 20
-# What a leaf of a search that prunes nothing costs: a fixed part plus a
-# part per symbol pass.  The two constants cover the peak traced by
-# tracemalloc for k in 1..6 and L in 1..20 with zero gains, on trees of
-# 2^12 to 2^15 leaves: at most 0.85 of `tree_bytes` for one table build
-# and 0.87 for one `ml_decode`, each at k=1.  A Monte Carlo frame with
-# zero gains is certified by its sent path's siblings and stays under 0.14;
-# with its leaf threshold lowered so that nothing certifies, it searches
-# the whole tree and peaks at 0.67 for one frame and 0.54 for eight, at
-# k=1 and L=1 (tests/test_sim.py checks the bound), and at 0.91 on a
-# tree of 2^10 leaves.  There a table build or `ml_decode` can pass it by
-# 11% (about 70 KB of hashing temporaries that do not grow with the tree).
-_NODE_BYTES = 80
-_NODE_ROW_BYTES = 32
 
 
 class CapacityError(ValueError):
     """A code or grid size whose work would not fit the supported limits."""
-
-
-def tree_bytes(params: CodeParams) -> int:
-    """Peak bytes of one frame's search when every prefix survives pruning
-    (all gains zero, or an SNR far below the code's reach)."""
-    return (1 << params.n) * (_NODE_BYTES + _NODE_ROW_BYTES * params.L)
-
-
-def trials_per_block(params: CodeParams) -> int:
-    """Frames one search pass takes together: as many as fit MEMORY_BUDGET
-    in the worst case, whatever the channel draws (CapacityError if none)."""
-    worst = tree_bytes(params)
-    if worst > MEMORY_BUDGET:
-        raise CapacityError(
-            f"one frame at n={params.n}, L={params.L} may need {worst >> 20} MiB "
-            f"for its search tree, over the {MEMORY_BUDGET >> 20} MiB budget")
-    return MEMORY_BUDGET // worst
 
 
 @dataclass(frozen=True)
@@ -103,7 +74,7 @@ class Frontier(NamedTuple):
     cost: np.ndarray
 
 
-def tree_search(expand, received: np.ndarray, gains: np.ndarray,
+def tree_search(expand, width: int, received: np.ndarray, gains: np.ndarray,
                 threshold: np.ndarray | None, start: Frontier | None = None,
                 stop: int | None = None) -> Frontier:
     """Expand the frontier `start` (the root of every frame when None) level
@@ -114,17 +85,18 @@ def tree_search(expand, received: np.ndarray, gains: np.ndarray,
     `received` and `gains` have shape (n/k, L, B), `threshold` (n/k, B):
     a level-a prefix survives while its partial cost is at most
     `threshold[a, trial]`, and the last row bounds the leaves.
-    `expand(a, trial, nodes)` returns the states (2^k, N) and symbol rows
-    (L, 2^k, N) of the level-a children of N nodes (frames `trial`, states
-    `nodes`), as fresh arrays: the search overwrites the symbols with their
-    squared distances.  Each child's row cost is the sum of those over the
-    leading pass axis, added left to right, and costs add rows root to
-    leaf.  With `threshold` None it keeps the cheapest child of each node
-    instead: a greedy descent to one leaf per start prefix, returned in
-    the start order (from the root, one leaf per frame in trial order).
-    Otherwise each level's survivors are ordered by segment value, then by
-    the order of their parents, so from the root the leaves come sorted
-    by their segments read last to first, then by trial.
+    `expand(a, trial, nodes)` returns the states (width, N) and symbol
+    rows (L, width, N) of the level-a children of N nodes (frames `trial`,
+    states `nodes`), `width` being 2^k, as fresh arrays: the search
+    overwrites the symbols with their squared distances.  Each child's row
+    cost is the sum of those over the leading pass axis, added left to
+    right, and costs add rows root to leaf.  With `threshold` None it
+    keeps the cheapest child of each node instead: a greedy descent to one
+    leaf per start prefix, returned in the start order (from the root, one
+    leaf per frame in trial order).  Otherwise each level's survivors are
+    ordered by segment value, then by the order of their parents, so from
+    the root the leaves come sorted by their segments read last to first,
+    then by trial, unless the search is split (below).
 
     A search resumed from its own level-a frontier (`stop=a`, then
     `start=` that frontier) returns the same leaves, bit for bit, as one
@@ -132,7 +104,14 @@ def tree_search(expand, received: np.ndarray, gains: np.ndarray,
     or from any prefixes costed as it would cost them, returns exactly
     the leaves below them: each level only adds to its parents' costs.
     So a greedy descent from chosen prefixes and a thresholded search
-    that takes in more prefixes level by level are both this one loop.
+    from a level's siblings are both this one loop.
+
+    Before each level the search counts, in plain ints, its peak bytes:
+    per parent, `width` children of 2L + 9 words and 3L + 6 words of its
+    own.  Past MEMORY_BUDGET, less 4 words per prefix held in waiting parts
+    or found leaves, it searches the frames in two parts, lower trials
+    first (frames are independent, so the leaves are the same); a frame
+    that alone does not fit is a CapacityError.
 
     Costs are sums of non-negative row distances added root to leaf, and
     adding a non-negative double never lowers the rounded sum, so a prefix
@@ -140,23 +119,45 @@ def tree_search(expand, received: np.ndarray, gains: np.ndarray,
     that is the leaf threshold at every level drops nothing else.  An
     earlier row may be lower by a lower bound on the cost of any
     completion, as long as it drops no prefix that still has a leaf within
-    the last row.  `lookahead_thresholds` builds such rows as
-    threshold·(1+1e-12) − tail·(1−1e-9), the tail being the sum over the
-    rows below of each symbol's distance to its nearest point
-    clip(rint(y/h)) (0/0 read as 0, computed under `np.errstate`); the
-    margins cover the few-ulp rounding of a summed leaf cost and the
-    ~2^c-ulp error of rint on a y/h that sits on a half-integer.  Either
-    way the surviving leaves and their costs are the same, bit for bit.
+    the last row; `lookahead_thresholds` builds such rows.  Either way
+    the surviving leaves and their costs are the same, bit for bit.
     With nothing to drop (zero gains) the frontier is the whole tree.
     """
     if start is None:
         count = received.shape[2]
         start = Frontier(0, np.arange(count), np.zeros(count, dtype=np.uint64),
                          np.zeros(count, dtype=np.int64), np.zeros(count))
-    if stop is None:
-        stop = len(received)
+    stop = len(received) if stop is None else stop
+    L = received.shape[1]
+    parent_bytes = 8 * (width * (2 * L + 9) + 3 * L + 6)
+    todo, done = [start], []
+    while todo:
+        part = todo.pop()
+        held = 32 * sum(len(f.trial) for f in todo + done)
+        part = _descend(expand, width, received, gains, threshold, part, stop,
+                        (MEMORY_BUDGET - held) // parent_bytes)
+        if part.level == stop:
+            done.append(part)
+            continue
+        frames = np.unique(part.trial)
+        if len(frames) < 2:
+            need = held + len(part.trial) * parent_bytes
+            raise CapacityError(f"one frame's search needs {need >> 20} MiB at level "
+                                f"{part.level + 1}, over {MEMORY_BUDGET >> 20} MiB")
+        high = part.trial >= frames[len(frames) // 2]
+        todo += [Frontier(part.level, *(f[side] for f in part[1:]))
+                 for side in (high, ~high)]
+    if len(done) == 1:
+        return done[0]
+    return Frontier(stop, *map(np.concatenate, zip(*(f[1:] for f in done))))
+
+
+def _descend(expand, width, received, gains, threshold, start, stop, most):
+    """`tree_search`'s levels, stopping before one of over `most` parents."""
     _, trial, node, value, cost = start
     for a in range(start.level, stop):
+        if len(trial) > most:
+            return Frontier(a, trial, node, value, cost)
         children, x = expand(a, trial, node)
         x *= gains[a].take(trial, axis=1)[:, None]
         np.subtract(received[a].take(trial, axis=1)[:, None], x, out=x)
@@ -171,7 +172,7 @@ def tree_search(expand, received: np.ndarray, gains: np.ndarray,
         else:
             seg, parent = np.nonzero(child_cost <= threshold[a].take(trial))
         trial, node = trial[parent], children[seg, parent]
-        value = value[parent] * len(children) + seg
+        value = value[parent] * width + seg
         cost = child_cost[seg, parent]
     return Frontier(stop, trial, node, value, cost)
 
@@ -222,10 +223,17 @@ class CandidateTable:
     """
 
     def __init__(self, params: CodeParams, seed: int = 0):
-        trials_per_block(params)    # CapacityError before any hashing
+        # the table, and its last level's raw and hashing words as it is made
+        width, leaves = 1 << params.k, 1 << params.n
+        rows = sum(width ** a for a in range(1, params.num_segments + 1))
+        need = 8 * (params.L * (rows + 2 * leaves) + 3 * leaves)
+        if need > MEMORY_BUDGET:
+            raise CapacityError(f"the candidate table needs {need >> 20} MiB, "
+                                f"over the {MEMORY_BUDGET >> 20} MiB budget")
         self.params = params
+        self.seed = seed
         self.levels: list[np.ndarray] = codebook_levels(params, seed)
-        self._segs = np.arange(1 << params.k, dtype=np.uint64)[:, None]
+        self._segs = np.arange(width, dtype=np.uint64)[:, None]
 
     def _expand(self, a, trial, nodes):
         children = nodes * np.uint64(len(self._segs)) + self._segs
@@ -241,9 +249,9 @@ class CandidateTable:
         """
         received = received.transpose(1, 2, 0)     # pass-major views
         gains = gains.transpose(1, 2, 0)
-        greedy = tree_search(self._expand, received, gains, None).cost
+        greedy = tree_search(self._expand, len(self._segs), received, gains, None).cost
         radius = np.broadcast_to(greedy + TIE_TOLERANCE, received.shape[::2])
-        leaves = tree_search(self._expand, received, gains, radius)
+        leaves = tree_search(self._expand, len(self._segs), received, gains, radius)
         out = np.full((received.shape[2], 1 << self.params.n), np.inf)
         out[leaves.trial, leaves.value] = leaves.cost
         return out
@@ -276,11 +284,15 @@ def ml_decode(realization: ChannelRealization, params: CodeParams,
 
     Ties on the minimum (within 1e-12 absolute) are flagged and broken
     toward the lexicographically smallest bit pattern.  Pass a prebuilt
-    `table` to amortize the candidate symbols across many frames.  A code
-    whose search could pass MEMORY_BUDGET is a CapacityError.
+    `table` of the same `params` and `seed` to amortize the candidate
+    symbols across many frames (another is a ConfigurationError).  A table
+    or a frame's search level past MEMORY_BUDGET is a CapacityError.
     """
     if table is None:
         table = CandidateTable(params, seed)
+    elif (table.params, table.seed) != (params, seed):
+        raise ConfigurationError(f"table of {table.params} under seed {table.seed} "
+                                 f"used for {params} under seed {seed}")
     expected = (params.num_segments, params.L)
     if realization.received.shape != expected:
         raise ConfigurationError(

@@ -22,10 +22,9 @@ bound on any completion passes it (`decoder.lookahead_thresholds`), and a
 trial already shown to be an error by one such leaf, its certificate,
 leaves the search (see `count_errors`).  On the paper code (four paper
 channels, 2,048-trial blocks) a trial hashes, sent path included, about
-46 of the 340 spines of its tree at 0 dB, 53 at 2 and 4 dB, 42 at 6 dB,
-32 at 8 dB and 16 to 17 from 16 dB on (80, 68 and 54 at 0, 2 and 4 dB
-without certificates).  With nothing to prune the search is the whole
-tree, so blocks are sized for that worst case.
+40 of the 340 spines of its tree at 0 dB, 44 at 2 dB, 46 at 4 dB, 36 at
+6 dB, 30 at 8 dB and 16 to 17 from 16 dB on (42, 43 and 41 at 0, 2 and
+4 dB without certificates).
 
 A block lays out its gains, noise and received values pass-major, as
 (n/k, L, trials), the layout `tree_search` takes.  The ladder's row costs
@@ -66,12 +65,13 @@ from .codec import (
     symbol_rows,
 )
 from .decoder import (
+    MEMORY_BUDGET,
     TIE_TOLERANCE,
+    CapacityError,
     Frontier,
     lookahead_thresholds,
     ml_decode,
     tree_search,
-    trials_per_block,
 )
 from .mixing import (
     CODEBOOK_DOMAIN,
@@ -92,10 +92,8 @@ MAX_WORKERS = 256
 # this share of the block's open trials keeps one, since descents that
 # certify nothing are wasted.  On the paper code (four paper channels,
 # 2,048-trial blocks), spines hashed per trial at 0, 2, 4, 6 and 8 dB are
-# 46.0, 53.3, 53.6, 41.6 and 31.5 at 0.9; 40.6, 45.5, 48.7, 47.4 and 41.8
-# at 0.5; and 80.2, 68.1, 54.4, 41.6 and 31.5 with no descents.  In time,
-# 0.5 gains 6-14% over 0.9 at 0-4 dB but loses 14-16% at 6-8 dB, and no
-# descents at all doubles the time at 0 dB.
+# 39.7, 44.2, 45.6, 36.3 and 30.0 at 0.9; 38.6, 43.7, 47.3, 46.8 and 40.9
+# at 0.5; and 41.9, 42.9, 40.9, 36.3 and 30.0 with no descents.
 CERTIFY_SHARE = 0.9
 
 
@@ -163,7 +161,10 @@ def count_errors(params: CodeParams, model: FadingModel, sigma: float,
     Reproduces `run_trial` over `trial_stream(seed, t)` with code seed
     `codebook_seed(seed, t)` exactly: same counter layout (message word,
     then gain uniforms, then noise uniforms), same arithmetic, same tie
-    rule.  Trials are searched in blocks of `trials_per_block(params)`.
+    rule.  Blocks hold `DEFAULT_BATCH` trials, fewer where what each
+    holds however the search prunes would pass MEMORY_BUDGET.  A trial
+    that alone passes it, there or in its search (`decoder.tree_search`),
+    is a CapacityError.
 
     A trial is an error as soon as one non-sent leaf lies within its
     threshold, so the search need not find them all.  Each non-sent leaf
@@ -175,10 +176,10 @@ def count_errors(params: CodeParams, model: FadingModel, sigma: float,
     open keep a surviving level-a sibling, each such trial descends
     greedily from its cheapest one to a leaf, through `decoder.tree_search`
     with no threshold; a leaf within the last threshold row certifies the
-    trial.  The open trials' surviving siblings then join the thresholded
-    search at the level below their own, and the sent prefix never does,
-    so every leaf that search keeps is an error witness.  The count is
-    exact whichever trials descend: a certificate is a real non-sent
+    trial.  Then, again from the deepest level, the open trials' surviving
+    level-a siblings are searched to the leaves; every leaf kept is an
+    error witness, and its trial leaves the shallower levels.  The count
+    is exact whichever trials descend: a certificate is a real non-sent
     leaf, its cost is added root to leaf in the search's own order, so it
     is the cost the full search would give that leaf, and the full search
     keeps every leaf within the last row.  So the counts do not depend on
@@ -186,7 +187,15 @@ def count_errors(params: CodeParams, model: FadingModel, sigma: float,
     """
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
-    block = trials_per_block(params)
+    rows, width = params.num_segments, 1 << params.k
+    grid_size = rows * params.L
+    draws = 1 + (3 if model.kind == RICIAN else 2) * grid_size
+    # Counter draws (as words, uniforms, gain work), received frame, ladder.
+    trial_bytes = 8 * (6 * draws + grid_size + 4 * width * (rows + params.L))
+    if trial_bytes > MEMORY_BUDGET:
+        raise CapacityError(f"one trial holds {trial_bytes >> 20} MiB, over "
+                            f"the {MEMORY_BUDGET >> 20} MiB budget")
+    block = min(DEFAULT_BATCH, MEMORY_BUDGET // trial_bytes)
     return sum(_count_block(params, model, sigma, seed, s,
                             min(block, start + count - s))
                for s in range(start, start + count, block))
@@ -266,21 +275,14 @@ def _count_block(params: CodeParams, model: FadingModel, sigma: float,
         if chosen and chosen >= CERTIFY_SHARE * (count - np.count_nonzero(certified)):
             trial = np.flatnonzero(have)
             seg = np.where(survive[a], cost[a], np.inf)[:, trial].argmin(axis=0)
-            leaf = tree_search(expand, received, gains, None,
+            leaf = tree_search(expand, len(segs), received, gains, None,
                                start=siblings(a, seg, trial))
             certified[leaf.trial[leaf.cost <= thresholds[-1].take(leaf.trial)]] = True
-
-    # The open trials' siblings join the search at the level below their
-    # own, so every leaf it keeps is a non-sent leaf within the threshold.
-    survive &= ~certified
-    frontier = siblings(0, *np.nonzero(survive[0]))
-    for a in range(1, rows):
-        if frontier.trial.size:
-            frontier = tree_search(expand, received, gains, thresholds,
-                                   start=frontier, stop=a + 1)
-        joined = zip(frontier[1:], siblings(a, *np.nonzero(survive[a]))[1:])
-        frontier = Frontier(a + 1, *map(np.concatenate, joined))
-    certified[frontier.trial] = True
+    for a in range(rows - 2, -1, -1):
+        roots = siblings(a, *np.nonzero(survive[a] & ~certified))
+        if roots.trial.size:
+            leaf = tree_search(expand, len(segs), received, gains, thresholds, start=roots)
+            certified[leaf.trial] = True
     return int(np.count_nonzero(certified))
 
 

@@ -183,3 +183,19 @@ def test_criterion_9_reproducibility(tmp_path):
     ok = rerun_same and workers_same and baseline_same
     report(9, "reproducibility", ok,
            f"byte-identical: rerun={rerun_same}, 1-vs-4 workers={workers_same}")
+
+
+def test_criterion_10_long_code_bound_dominance():
+    # n=24: a code whose whole tree (2^24 leaves) no search could hold;
+    # only the frontier the search keeps is hashed and held.
+    params = CodeParams(n=24, k=2, c=8, v=32, L=6)
+    worst, worst_at = -np.inf, ""
+    for label, model in SWEEP_MODELS.items():
+        for row in sweep(params, model, [10.0, 16.0], 400, seed=0,
+                         grid=uniform_theta_grid(20)):
+            slack = row.fer.fer - (row.bound.pe + 3.0 * row.fer.stderr)
+            if slack > worst:
+                worst, worst_at = slack, f"{label}@{row.snr_db:g}dB"
+    report(10, "long-code bound dominance", worst <= 0.0,
+           f"n=24 k=2, 4 models x 2 points x 400 trials; worst "
+           f"fer-(bound+3se) = {worst:+.2e} at {worst_at}")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinalfade import CapacityError, cli, pe_bound, sim, uniform_theta_grid, verify
+from spinalfade import CapacityError, cli, decoder, pe_bound, sim, uniform_theta_grid, verify
 from spinalfade.cli import main
 from spinalfade.decoder import MEMORY_BUDGET
 
@@ -257,7 +257,18 @@ def test_largest_seed_and_symbol_count_run(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_search_over_memory_budget_exit_one(capsys):
+def test_long_code_simulates(capsys):
+    # 2^24 leaves, of which the search holds only the frontier it keeps
+    code, out = run_cli(["simulate", "--n", "24", "--snr-start", "16",
+                         "--snr-stop", "16", "--trials", "200"])
+    assert code == 0 and capsys.readouterr().err == ""
+    (row,) = parse_csv(out)
+    assert (row["n"], row["trials"]) == ("24", "200")
+
+
+def test_search_over_memory_budget_exit_one(capsys, monkeypatch):
+    # a frame whose own search level would pass the budget
+    monkeypatch.setattr(decoder, "MEMORY_BUDGET", 1 << 16)
     assert_one_line_error(capsys, ["simulate", *SIM_ARGS, "--n", "24"])
 
 

@@ -12,13 +12,13 @@ from spinalfade import (
     Message,
     encode,
 )
-from spinalfade.codec import child_spines, code_keys, encode_rows, symbol_rows
+from spinalfade.codec import child_spines, code_keys, symbol_rows
 from spinalfade.mixing import HASH_DOMAIN, RNG_DOMAIN, absorb, stream_at, uniforms_from_raw
 
 
 def reference_encode(message, params, seed=0):
     """The spine chain one segment and one symbol at a time: an oracle for
-    `encode` and `encode_rows` that shares only the mixing primitives."""
+    `encode` that shares only the mixing primitives."""
     hash_key = absorb(HASH_DOMAIN, np.uint64(seed))
     rng_key = absorb(RNG_DOMAIN, np.uint64(seed))
     spine = 0
@@ -34,10 +34,19 @@ def reference_encode(message, params, seed=0):
 
 
 def rows_of(segs, params, seed=0):
-    """`encode_rows` of segment values (..., n/k) under one code seed, as
-    symbol rows (..., n/k, L)."""
-    segs = np.moveaxis(np.asarray(segs, dtype=np.uint64), -1, 0)
-    return np.moveaxis(encode_rows(*code_keys(seed), segs, params), (0, 1), (-2, -1))
+    """Symbol rows (..., n/k, L) of the messages spelled by segment values
+    (..., n/k), most significant first, under one code seed: `encode` of
+    each, checked against `reference_encode`."""
+    segs = np.asarray(segs)
+    rows = np.empty(segs.shape + (params.L,), dtype=np.int64)
+    for i in np.ndindex(segs.shape[:-1]):
+        value = 0
+        for s in segs[i]:
+            value = (value << params.k) | int(s)
+        msg = Message(value=value, n=params.n)
+        rows[i] = encode(msg, params, seed)
+        assert np.array_equal(rows[i], reference_encode(msg, params, seed))
+    return rows
 
 
 def test_segment_bit_split():
@@ -198,26 +207,6 @@ def test_encode_matches_reference_chain():
             expected = reference_encode(msg, params, seed)
             assert np.array_equal(encode(msg, params, seed), expected)
             assert np.all(rows_of(segs, params, seed) == expected)
-
-
-def test_encode_rows_batch_matches_per_message():
-    # one call over a (2, 3) grid of messages, each with its own code seed
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        params = _random_code(rng)
-        seeds = rng.integers(0, 1 << 63, size=(2, 3), dtype=np.uint64)
-        segs = rng.integers(0, 1 << params.k, size=(params.num_segments, 2, 3),
-                            dtype=np.uint64)
-        rows = encode_rows(*code_keys(seeds), segs, params)
-        assert rows.shape == (params.num_segments, params.L, 2, 3)
-        assert rows.dtype == np.float64
-        for i in np.ndindex(seeds.shape):
-            value = 0
-            for s in segs[(slice(None),) + i]:
-                value = (value << params.k) | int(s)
-            msg = Message(value=value, n=params.n)
-            assert np.all(rows[(slice(None),) * 2 + i]
-                          == encode(msg, params, int(seeds[i])))
 
 
 def test_encode_long_message_matches_reference_chain():

@@ -17,6 +17,7 @@ from spinalfade import (
     CapacityError,
     ChannelRealization,
     CodeParams,
+    ConfigurationError,
     CounterStream,
     FadingModel,
     Message,
@@ -27,6 +28,7 @@ from spinalfade import (
     sample_gains,
     transmit,
 )
+from spinalfade import decoder
 from spinalfade.decoder import TIE_TOLERANCE, lookahead_thresholds, tree_search
 
 SMALL = CodeParams(n=4, k=2, c=2, v=32, L=2)
@@ -166,14 +168,66 @@ def test_capacity_guards():
 
 
 def test_ml_decode_over_memory_budget_raises_quickly():
-    # n=20, k=2, L=6: a search that prunes nothing needs 272 MiB
-    params = CodeParams(n=20, k=2, c=8, L=6)
-    real = ChannelRealization(gains=np.zeros((10, 6)),
-                              received=np.zeros((10, 6)), sigma=1.0)
+    # n=24, k=2, L=6: building the candidate table would take about 3 GiB
+    params = CodeParams(n=24, k=2, c=8, L=6)
+    real = ChannelRealization(gains=np.zeros((12, 6)),
+                              received=np.zeros((12, 6)), sigma=1.0)
     start = time.perf_counter()
     with pytest.raises(CapacityError):
         ml_decode(real, params)
     assert time.perf_counter() - start < 1.0
+
+
+def test_ml_decode_rejects_table_of_other_code():
+    params = CodeParams(n=8, k=2, c=8, L=6)
+    real = make_realization(params, 77, 30.0, 1)
+    table = CandidateTable(params, seed=0)
+    assert ml_decode(real, params, 0, table) == ml_decode(real, params, 0)
+    with pytest.raises(ConfigurationError):
+        ml_decode(real, params, 1, table)
+    with pytest.raises(ConfigurationError):
+        ml_decode(real, params, 0, CandidateTable(CodeParams(n=8, k=2, c=8, L=5)))
+
+
+@pytest.mark.parametrize("params, frames", [(CodeParams(n=10, k=2, c=4, v=32, L=3), 2),
+                                            (CodeParams(n=12, k=3, c=6, v=8, L=2), 2),
+                                            (CodeParams(n=12, k=1, c=2, v=32, L=1), 3)])
+def test_split_search_matches_brute_force(monkeypatch, params, frames):
+    # A search budget of two or three frames' widest level: the two
+    # zero-gain frames, whose searches keep the whole tree, the others and
+    # the prefixes held beside them do not fit it together (at k=1 the
+    # sigma=30 frame keeps most of the tree too), so they are searched in
+    # parts.
+    width, rows, L = 1 << params.k, params.num_segments, params.L
+    budget = frames * width ** (rows - 1) * 8 * (width * (2 * L + 9) + 3 * L + 6)
+    reals = [make_realization(params, value, sigma, key, model)
+             for value, sigma, key, model in (
+                 (5, 0.3, 1, FadingModel.rayleigh(1.0)),
+                 (600, 3.0, 2, FadingModel.nakagami(2.0)),
+                 (77, 30.0, 3, FadingModel.rician(1.0)))]
+    for key in (4, 5):
+        noise = CounterStream(key).normals(rows * L).reshape(rows, L)
+        reals.append(ChannelRealization(gains=np.zeros((rows, L)),
+                                        received=noise, sigma=1.0))
+    table = CandidateTable(params)
+    splits = []
+    descend = decoder._descend
+
+    def recording(*args):
+        reached = descend(*args)
+        splits.append(reached.level < args[6])
+        return reached
+
+    monkeypatch.setattr(decoder, "_descend", recording)
+    monkeypatch.setattr(decoder, "MEMORY_BUDGET", budget)
+    costs = table.costs(np.stack([r.received for r in reals]),
+                        np.stack([r.gains for r in reals]))
+    assert any(splits)
+    for row, real in zip(costs, reals):
+        fast = decoder._result_from_costs(row, params)
+        oracle = brute_force_decode(real, params)
+        assert (fast.decoded, fast.tie) == (oracle.decoded, oracle.tie)
+        assert math.isclose(fast.min_cost, oracle.min_cost, rel_tol=1e-9)
 
 
 def test_decode_rejects_shape_mismatch():
@@ -253,11 +307,11 @@ def assert_lookahead_keeps_leaves(params, code_seed, msgs, received, gains,
 
     `received` and `gains` come frame-major, (B, n/k, L), and are handed
     to the searches pass-major."""
-    expand = CandidateTable(params, code_seed)._expand
+    expand, width = CandidateTable(params, code_seed)._expand, 1 << params.k
     received, gains = received.transpose(1, 2, 0), gains.transpose(1, 2, 0)
-    plain = tree_search(expand, received, gains,
+    plain = tree_search(expand, width, received, gains,
                         np.broadcast_to(threshold, received.shape[::2]))
-    look = tree_search(expand, received, gains, lookahead_thresholds(
+    look = tree_search(expand, width, received, gains, lookahead_thresholds(
         received, gains, params.symbol_mask, threshold))
     assert_same_frontier(plain, look)
     assert {(t, v) for t, v in zip(plain.trial, plain.value)} >= set(enumerate(msgs))
@@ -318,17 +372,17 @@ def test_lookahead_search_matches_plain_search_property(case, slack):
 @given(search_cases(), st.data())
 def test_resumed_search_matches_uninterrupted_property(case, data):
     params, code_seed, msgs, received, gains, sent = case
-    expand = CandidateTable(params, code_seed)._expand
+    expand, width = CandidateTable(params, code_seed)._expand, 1 << params.k
     threshold = sent_path_cost(received, gains, sent) + TIE_TOLERANCE
     received, gains = received.transpose(1, 2, 0), gains.transpose(1, 2, 0)
     thresholds = lookahead_thresholds(received, gains, params.symbol_mask,
                                       threshold)
-    whole = tree_search(expand, received, gains, thresholds)
+    whole = tree_search(expand, width, received, gains, thresholds)
     level = data.draw(st.integers(0, params.num_segments))
-    part = tree_search(expand, received, gains, thresholds, stop=level)
+    part = tree_search(expand, width, received, gains, thresholds, stop=level)
     assert part.level == level
-    assert_same_frontier(whole, tree_search(expand, received, gains, thresholds,
-                                            start=part))
+    assert_same_frontier(whole, tree_search(expand, width, received, gains,
+                                            thresholds, start=part))
 
 
 def test_greedy_descent_from_root_gives_one_leaf_per_frame():
@@ -338,7 +392,7 @@ def test_greedy_descent_from_root_gives_one_leaf_per_frame():
              for value, key in ((3, 4), (3, 5), (250, 6), (77, 7))]
     received = np.stack([r.received for r in reals]).transpose(1, 2, 0)
     gains = np.stack([r.gains for r in reals]).transpose(1, 2, 0)
-    leaf = tree_search(table._expand, received, gains, None)
+    leaf = tree_search(table._expand, 4, received, gains, None)
     assert leaf.level == params.num_segments
     assert np.array_equal(leaf.trial, np.arange(len(reals)))
     for t, real in enumerate(reals):
@@ -346,31 +400,37 @@ def test_greedy_descent_from_root_gives_one_leaf_per_frame():
                                real, params)
         assert math.isclose(leaf.cost[t], exact, rel_tol=1e-12)
     # resumed from its own level-2 prefixes, the descent ends in the same leaves
-    half = tree_search(table._expand, received, gains, None, stop=2)
-    assert_same_frontier(leaf, tree_search(table._expand, received, gains, None,
+    half = tree_search(table._expand, 4, received, gains, None, stop=2)
+    assert_same_frontier(leaf, tree_search(table._expand, 4, received, gains, None,
                                            start=half))
     # and from a reordered subset of them, in the order given
     sub = take(half, np.array([2, 0]))
     assert_same_frontier(take(leaf, np.array([2, 0])),
-                         tree_search(table._expand, received, gains, None, start=sub))
-    empty = tree_search(table._expand, received, gains, None,
+                         tree_search(table._expand, 4, received, gains, None, start=sub))
+    empty = tree_search(table._expand, 4, received, gains, None,
                         start=take(half, np.array([], dtype=np.intp)))
     assert empty.trial.size == 0 and empty.level == params.num_segments
 
 
 def test_search_loop_operations_per_level():
     # CandidateTable.costs runs this loop once per level for each of its two
-    # searches, so resuming and stopping a search are set up outside it:
-    # these are the numpy calls, operators and subscripts of one level.
-    source = textwrap.dedent(inspect.getsource(tree_search))
+    # searches, so resuming, stopping and splitting a search are set up
+    # outside it: these are the numpy calls, operators and subscripts of one
+    # level.  The budget check comes first and is plain int arithmetic, one
+    # len() and one comparison; the Frontier it builds is made only when the
+    # search is about to be split.
+    source = textwrap.dedent(inspect.getsource(decoder._descend))
     loop = next(node for node in ast.walk(ast.parse(source))
                 if isinstance(node, ast.For))
     ops = Counter(type(node).__name__ for stmt in loop.body
                   for node in ast.walk(stmt)
                   if isinstance(node, (ast.Call, ast.BinOp, ast.AugAssign,
                                        ast.Compare, ast.Subscript)))
-    assert ops == {"Call": 11, "Subscript": 9, "AugAssign": 3, "Compare": 2,
+    assert ops == {"Call": 12, "Subscript": 9, "AugAssign": 3, "Compare": 3,
                    "BinOp": 2}
+    check = loop.body[0]
+    assert ast.unparse(check.test) == "len(trial) > most"
+    assert [type(node).__name__ for node in check.body] == ["Return"]
 
 
 @pytest.mark.parametrize("h", [1.0, 0.5, 3.0, 0.1, 1 / 3, 0.7])

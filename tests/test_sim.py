@@ -159,8 +159,8 @@ def test_forced_certificates_settle_trials_at_0db(monkeypatch):
     calls, rows = [], []
     search, lookahead = sim.tree_search, sim.lookahead_thresholds
 
-    def recording(expand, received, gains, threshold, start=None, stop=None):
-        out = search(expand, received, gains, threshold, start=start, stop=stop)
+    def recording(expand, width, received, gains, threshold, start=None, stop=None):
+        out = search(expand, width, received, gains, threshold, start=start, stop=stop)
         calls.append((threshold is None, start, out))
         return out
 
@@ -203,6 +203,42 @@ def test_paper_counts_pinned(model, pinned):
             for snr in PAPER_PIN_SNRS] == pinned
 
 
+def frame_level_bytes(params):
+    """The bytes `tree_search` counts for one frame's widest level when
+    nothing is pruned: 2^((n/k - 1)k) parents of 8·(2^k·(2L + 9) + 3L + 6)."""
+    width, L = 1 << params.k, params.L
+    return width ** (params.num_segments - 1) * 8 * (width * (2 * L + 9) + 3 * L + 6)
+
+
+def recording_splits(monkeypatch):
+    """The frontiers at which `tree_search` splits its frames into parts:
+    those `decoder._descend` returns short of the level it was asked for."""
+    splits = []
+    descend = decoder._descend
+
+    def recording(*args):
+        reached = descend(*args)
+        if reached.level < args[6]:
+            splits.append(reached)
+        return reached
+
+    monkeypatch.setattr(decoder, "_descend", recording)
+    return splits
+
+
+def leaf_row_below_every_cost(monkeypatch):
+    """Lower the last threshold row of `count_errors` below every cost, so
+    nothing certifies and no leaf survives."""
+    right = sim.lookahead_thresholds
+
+    def no_leaf(*args):
+        out = right(*args)
+        out[-1] = -1.0
+        return out
+
+    monkeypatch.setattr(sim, "lookahead_thresholds", no_leaf)
+
+
 @pytest.mark.parametrize("n, k", [(12, 1), (13, 1), (14, 1), (12, 2), (14, 2), (12, 6)])
 @pytest.mark.parametrize("L", [1, 6, 20])
 @pytest.mark.parametrize("trials", [1, 8])
@@ -211,18 +247,15 @@ def test_zero_gain_peak_within_tree_bytes(monkeypatch, constant_gain, n, k, L,
                                           trials, certify):
     # Zero gains prune nothing.  Every sibling then certifies its trial at
     # once; with the leaf row lowered below every cost nothing certifies,
-    # and the search expands the whole tree but the sent path.
+    # and the search expands the whole tree but the sent path.  The budget
+    # holds two frames' widest level, so eight such frames are searched in
+    # parts, and the peak stays within it.
     constant_gain(0.0)
     if not certify:
-        right = sim.lookahead_thresholds
-
-        def no_leaf(*args):
-            out = right(*args)
-            out[-1] = -1.0
-            return out
-
-        monkeypatch.setattr(sim, "lookahead_thresholds", no_leaf)
+        leaf_row_below_every_cost(monkeypatch)
     params = CodeParams(n=n, k=k, c=8, v=32, L=L)
+    monkeypatch.setattr(decoder, "MEMORY_BUDGET", 2 * frame_level_bytes(params))
+    splits = recording_splits(monkeypatch)
     tracemalloc.start()
     try:
         errors = count_errors(params, FadingModel.rayleigh(1.0), 1.0, 0, 0, trials)
@@ -230,31 +263,65 @@ def test_zero_gain_peak_within_tree_bytes(monkeypatch, constant_gain, n, k, L,
     finally:
         tracemalloc.stop()
     assert errors == (trials if certify else 0)
-    assert peak <= decoder.tree_bytes(params) * trials
+    assert bool(splits) == (trials == 8 and not certify)
+    assert peak <= decoder.MEMORY_BUDGET
 
 
-def test_paper_batch_is_searched_in_one_block():
-    assert decoder.trials_per_block(PARAMS) >= sim.DEFAULT_BATCH
+def test_paper_batch_is_searched_in_one_block(monkeypatch):
+    blocks = []
+    right = sim._count_block
+
+    def recording(*args):
+        blocks.append(args[-1])
+        return right(*args)
+
+    monkeypatch.setattr(sim, "_count_block", recording)
+    count_errors(PARAMS, FadingModel.rayleigh(1.0), 1.0, 0, 0, sim.DEFAULT_BATCH + 1)
+    assert blocks == [sim.DEFAULT_BATCH, 1]
 
 
 @pytest.mark.parametrize("gain, snr_db", [(0.0, 10.0), (None, 0.0)])
 def test_split_blocks_match_scalar_loop(monkeypatch, constant_gain, gain, snr_db):
-    # n=16 with a budget of two worst-case trials: 5 trials in 3 blocks
-    params = CodeParams(n=16, k=2, c=8, v=32, L=2)
-    monkeypatch.setattr(decoder, "MEMORY_BUDGET", 2 * decoder.tree_bytes(params))
-    assert decoder.trials_per_block(params) == 2
+    # n=12, 40 trials.  Zero gains certify every trial before any search,
+    # so there a budget of two trials' block arrays splits them into 20
+    # blocks.  At 0 dB the open trials' search frontiers reach 138 prefixes
+    # over 7 trials, and 55 for one, so a search budget of 80 parents
+    # splits them into parts.
+    params = CodeParams(n=12, k=2, c=8, v=32, L=6)
     if gain is not None:
         constant_gain(gain)
     model = FadingModel.rayleigh(1.0)
     sigma = snr_to_sigma(snr_db, model, params.c)
-    loop = scalar_loop(params, model, sigma, 2, 3, 5)
-    assert count_errors(params, model, sigma, 2, 3, 5) == loop
+    loop = scalar_loop(params, model, sigma, 2, 3, 40)
+    assert count_errors(params, model, sigma, 2, 3, 40) == loop
+    blocks = []
+    right = sim._count_block
+    monkeypatch.setattr(sim, "_count_block",
+                        lambda *args: blocks.append(args[-1]) or right(*args))
+    splits = recording_splits(monkeypatch)
+    if gain is None:
+        # 80 parents of 8·(2^k·(2L + 9) + 3L + 6) bytes
+        monkeypatch.setattr(decoder, "MEMORY_BUDGET", 80 * 8 * (4 * 21 + 24))
+    else:
+        # 8·(6·draws + n/k·L + 4·2^k·(n/k + L)) bytes per trial
+        monkeypatch.setattr(sim, "MEMORY_BUDGET", 2 * 8 * (6 * 73 + 36 + 16 * 12))
+    assert count_errors(params, model, sigma, 2, 3, 40) == loop
+    assert (blocks, bool(splits)) == (([40], True) if gain is None else ([2] * 20, False))
 
 
-def test_trial_over_budget_is_capacity_error(monkeypatch):
-    monkeypatch.setattr(decoder, "MEMORY_BUDGET", decoder.tree_bytes(PARAMS) - 1)
+def test_trial_over_budget_is_capacity_error(monkeypatch, constant_gain):
+    # one frame whose own frontier passes the budget, searched alone or
+    # in a block with others
+    constant_gain(0.0)
+    leaf_row_below_every_cost(monkeypatch)
+    monkeypatch.setattr(decoder, "MEMORY_BUDGET", frame_level_bytes(PARAMS) // 2)
+    for trials in (1, 5):
+        with pytest.raises(CapacityError):
+            count_errors(PARAMS, FadingModel.rayleigh(1.0), 1.0, 0, 0, trials)
+    # and a code whose block arrays for one trial pass it
+    monkeypatch.setattr(sim, "MEMORY_BUDGET", 1 << 10)
     with pytest.raises(CapacityError):
-        count_errors(PARAMS, FadingModel.rayleigh(1.0), 1.0, 0, 0, 1)
+        count_errors(PARAMS, FadingModel.rayleigh(1.0), 1e-9, 0, 0, 1)
 
 
 def test_estimate_fer_noiseless_unit_gain_zero(constant_gain):
