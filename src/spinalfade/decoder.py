@@ -5,8 +5,7 @@ frame given the known gains.  Candidates form a depth-(n/k) tree with 2^k
 branches per node and one symbol row per node.  `tree_search` is the one
 search over it: `ml_decode` calls it with a radius from a greedy descent,
 and the Monte Carlo path (`sim.count_errors`) with the sent message's cost
-from each level's siblings of the sent path, after greedy descents from
-those siblings that can settle a trial early.  A level that would pass
+from each level's siblings of the sent path.  A level that would pass
 MEMORY_BUDGET is searched a part of the frames at a time.
 
 The search's arrays are pass-major: received values and gains come as
@@ -103,8 +102,8 @@ def tree_search(expand, width: int, received: np.ndarray, gains: np.ndarray,
     that runs through, and a search started from a subset of a frontier,
     or from any prefixes costed as it would cost them, returns exactly
     the leaves below them: each level only adds to its parents' costs.
-    So a greedy descent from chosen prefixes and a thresholded search
-    from a level's siblings are both this one loop.
+    So a thresholded search from one level's siblings of a sent path is
+    this one loop too.
 
     Before each level the search counts, in plain ints, its peak bytes:
     per parent, `width` children of 2L + 9 words and 3L + 6 words of its
@@ -288,17 +287,17 @@ def ml_decode(realization: ChannelRealization, params: CodeParams,
     symbols across many frames (another is a ConfigurationError).  A table
     or a frame's search level past MEMORY_BUDGET is a CapacityError.
     """
-    if table is None:
-        table = CandidateTable(params, seed)
-    elif (table.params, table.seed) != (params, seed):
-        raise ConfigurationError(f"table of {table.params} under seed {table.seed} "
-                                 f"used for {params} under seed {seed}")
     expected = (params.num_segments, params.L)
     if realization.received.shape != expected:
         raise ConfigurationError(
             f"realization shape {realization.received.shape} does not match "
             f"code shape {expected}"
         )
+    if table is None:
+        table = CandidateTable(params, seed)
+    elif (table.params, table.seed) != (params, seed):
+        raise ConfigurationError(f"table of {table.params} under seed {table.seed} "
+                                 f"used for {params} under seed {seed}")
     costs = table.costs(realization.received[None, :, :],
                         realization.gains[None, :, :])[0]
     return _result_from_costs(costs, params)

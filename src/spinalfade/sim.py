@@ -19,12 +19,11 @@ searches outward from the siblings with `decoder.tree_search`, which
 `ml_decode` uses too: every leaf that search keeps is a non-sent leaf
 within the threshold.  A prefix is dropped once its cost plus a lower
 bound on any completion passes it (`decoder.lookahead_thresholds`), and a
-trial already shown to be an error by one such leaf, its certificate,
-leaves the search (see `count_errors`).  On the paper code (four paper
-channels, 2,048-trial blocks) a trial hashes, sent path included, about
-40 of the 340 spines of its tree at 0 dB, 44 at 2 dB, 46 at 4 dB, 36 at
-6 dB, 30 at 8 dB and 16 to 17 from 16 dB on (42, 43 and 41 at 0, 2 and
-4 dB without certificates).
+trial with one such leaf, its witness, leaves the search (see
+`count_errors`).  On the paper code (four paper channels, 2,048-trial
+blocks) a trial hashes, sent path included, about 42 of the 340 spines
+of its tree at 0 dB, 43 at 2 dB, 41 at 4 dB, 36 at 6 dB, 30 at 8 dB, 24
+at 10 dB and 16 to 17 from 16 dB on.
 
 A block lays out its gains, noise and received values pass-major, as
 (n/k, L, trials), the layout `tree_search` takes.  The ladder's row costs
@@ -88,13 +87,6 @@ DEFAULT_BATCH = 2_048
 # Threads one point may run on.  Each checkpoint is split into at least one
 # job per worker, so an unbounded count could start a thread per trial.
 MAX_WORKERS = 256
-# Greedy certificates from the level-a siblings run only when at least
-# this share of the block's open trials keeps one, since descents that
-# certify nothing are wasted.  On the paper code (four paper channels,
-# 2,048-trial blocks), spines hashed per trial at 0, 2, 4, 6 and 8 dB are
-# 39.7, 44.2, 45.6, 36.3 and 30.0 at 0.9; 38.6, 43.7, 47.3, 46.8 and 40.9
-# at 0.5; and 41.9, 42.9, 40.9, 36.3 and 30.0 with no descents.
-CERTIFY_SHARE = 0.9
 
 
 @dataclass(frozen=True)
@@ -164,29 +156,27 @@ def count_errors(params: CodeParams, model: FadingModel, sigma: float,
     rule.  Blocks hold `DEFAULT_BATCH` trials, fewer where what each
     holds however the search prunes would pass MEMORY_BUDGET.  A trial
     that alone passes it, there or in its search (`decoder.tree_search`),
-    is a CapacityError.
+    is a CapacityError; an empty range, or a range or seed outside
+    0..2^64-1, is a ConfigurationError.
 
     A trial is an error as soon as one non-sent leaf lies within its
     threshold, so the search need not find them all.  Each non-sent leaf
     lies below exactly one sibling of the sent path (see the module
     docstring), and each sibling's cost is tested against its threshold
     row as the search would test it.  A last-level sibling within it is
-    such a leaf and certifies its trial at once.  Then, level by level
-    from the deepest, when at least `CERTIFY_SHARE` of the trials still
-    open keep a surviving level-a sibling, each such trial descends
-    greedily from its cheapest one to a leaf, through `decoder.tree_search`
-    with no threshold; a leaf within the last threshold row certifies the
-    trial.  Then, again from the deepest level, the open trials' surviving
-    level-a siblings are searched to the leaves; every leaf kept is an
-    error witness, and its trial leaves the shallower levels.  The count
-    is exact whichever trials descend: a certificate is a real non-sent
-    leaf, its cost is added root to leaf in the search's own order, so it
-    is the cost the full search would give that leaf, and the full search
-    keeps every leaf within the last row.  So the counts do not depend on
-    how trials fall into blocks.
+    such a leaf, a witness, at once.  Then, level by level from the
+    deepest, the surviving level-a siblings of the trials still without
+    a witness are searched to the leaves; every leaf kept is a witness,
+    and its trial leaves the shallower levels.  Both rules look at one
+    trial alone, so the counts, and the prefixes each trial hashes, do
+    not depend on how trials fall into blocks; only the search's memory
+    split does.
     """
-    if count < 1:
-        raise ConfigurationError(f"count must be >= 1, got {count}")
+    if count < 1 or not 0 <= start <= (1 << 64) - count:
+        raise ConfigurationError(f"trials [{start}, {start} + {count}) must be a "
+                                 f"non-empty range in 0..2^64-1")
+    if not 0 <= seed < 1 << 64:
+        raise ConfigurationError(f"seed must be in 0..2^64-1, got {seed}")
     rows, width = params.num_segments, 1 << params.k
     grid_size = rows * params.L
     draws = 1 + (3 if model.kind == RICIAN else 2) * grid_size
@@ -255,35 +245,24 @@ def _count_block(params: CodeParams, model: FadingModel, sigma: float,
 
     # A sibling is a child of a sent prefix other than the sent one.  Each
     # is tested against its threshold row as the search would test it; a
-    # last-level one within it is a leaf, so it certifies its trial.
+    # last-level one within it is a leaf, a witness of its trial's error.
     survive = cost <= thresholds[:, None]
     np.put_along_axis(survive, sent_seg[:, None], False, axis=1)
-    certified = survive[-1].any(axis=0)
+    error = survive[-1].any(axis=0)
 
     def expand(a, trial, spines):
         children = child_spines(hash_keys[trial], spines, segs, params)
         return children, symbol_rows(rng_keys[trial], children, params)
 
-    def siblings(a, seg, trial):
-        return Frontier(a + 1, trial, ladder[a, seg, trial],
-                        prefixes[a, trial] - sent_seg[a, trial] + seg,
-                        cost[a, seg, trial])
-
     for a in range(rows - 2, -1, -1):
-        have = survive[a].any(axis=0) & ~certified
-        chosen = np.count_nonzero(have)
-        if chosen and chosen >= CERTIFY_SHARE * (count - np.count_nonzero(certified)):
-            trial = np.flatnonzero(have)
-            seg = np.where(survive[a], cost[a], np.inf)[:, trial].argmin(axis=0)
-            leaf = tree_search(expand, len(segs), received, gains, None,
-                               start=siblings(a, seg, trial))
-            certified[leaf.trial[leaf.cost <= thresholds[-1].take(leaf.trial)]] = True
-    for a in range(rows - 2, -1, -1):
-        roots = siblings(a, *np.nonzero(survive[a] & ~certified))
-        if roots.trial.size:
+        seg, trial = np.nonzero(survive[a] & ~error)
+        if trial.size:
+            roots = Frontier(a + 1, trial, ladder[a, seg, trial],
+                             prefixes[a, trial] - sent_seg[a, trial] + seg,
+                             cost[a, seg, trial])
             leaf = tree_search(expand, len(segs), received, gains, thresholds, start=roots)
-            certified[leaf.trial] = True
-    return int(np.count_nonzero(certified))
+            error[leaf.trial] = True
+    return int(np.count_nonzero(error))
 
 
 def estimate_fer(params: CodeParams, model: FadingModel, sigma: float,

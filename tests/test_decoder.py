@@ -230,11 +230,18 @@ def test_split_search_matches_brute_force(monkeypatch, params, frames):
         assert math.isclose(fast.min_cost, oracle.min_cost, rel_tol=1e-9)
 
 
-def test_decode_rejects_shape_mismatch():
-    real = ChannelRealization(gains=np.ones((3, 2)),
-                              received=np.zeros((3, 2)), sigma=1.0)
-    with pytest.raises(ValueError):
-        ml_decode(real, SMALL)
+def test_decode_rejects_shape_mismatch(monkeypatch):
+    # before any table is built: at n=24 one would pass the budget, but the
+    # frame's shape is the fault, so that is what is reported
+    def no_table(*args):
+        raise AssertionError("candidate table built for a misshapen frame")
+
+    monkeypatch.setattr(CandidateTable, "__init__", no_table)
+    for params, shape in ((SMALL, (3, 2)), (CodeParams(n=24, k=2, c=8, L=6), (12, 5))):
+        real = ChannelRealization(gains=np.ones(shape), received=np.zeros(shape),
+                                  sigma=1.0)
+        with pytest.raises(ConfigurationError):
+            ml_decode(real, params)
 
 
 @st.composite

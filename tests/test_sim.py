@@ -1,8 +1,8 @@
 """Simulation tests: trial semantics, reproducibility, batched-vs-scalar
 equivalence, sweep structure."""
 
-import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,13 +15,18 @@ from spinalfade import (
     ConfigurationError,
     FadingModel,
     FerEstimate,
+    Message,
+    candidate_cost,
     codebook_seed,
     count_errors,
+    encode,
     estimate_fer,
+    random_message,
     run_trial,
     snr_to_sigma,
     sweep,
     trial_stream,
+    transmit,
     uniform_theta_grid,
 )
 
@@ -29,9 +34,6 @@ from spinalfade import decoder, sim
 
 PARAMS = CodeParams(n=8, k=2, c=8, v=32, L=6)
 SMALL = CodeParams(n=4, k=2, c=4, v=32, L=2)
-# `sim.CERTIFY_SHARE` settings under which every block, or none, tries
-# error certificates.
-CERTIFY_ALWAYS, CERTIFY_NEVER = 0.0, math.inf
 
 
 def scalar_loop(params, model, sigma, seed, start, count):
@@ -103,16 +105,13 @@ def test_batched_matches_scalar_loop(model):
     (CodeParams(n=8, k=8, c=8, v=32, L=6), FadingModel.rayleigh(1.0), 0.0, None, 0),
     (CodeParams(n=8, k=4, c=8, v=32, L=6), FadingModel.rayleigh(1.0), 2.0, None, 0),
 ])
-def test_frontier_matches_scalar_loop(monkeypatch, constant_gain, params, model,
-                                      snr_db, gain, start):
+def test_frontier_matches_scalar_loop(constant_gain, params, model, snr_db, gain,
+                                      start):
     if gain is not None:
         constant_gain(gain)
     sigma = snr_to_sigma(snr_db, model, params.c)
     loop = scalar_loop(params, model, sigma, 11, start, 300)
     assert count_errors(params, model, sigma, 11, start, 300) == loop
-    for share in (CERTIFY_ALWAYS, CERTIFY_NEVER):
-        monkeypatch.setattr(sim, "CERTIFY_SHARE", share)
-        assert count_errors(params, model, sigma, 11, start, 300) == loop
 
 
 @st.composite
@@ -132,58 +131,81 @@ def block_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(block_cases())
-def test_certificates_do_not_change_counts_property(case):
+def test_block_matches_one_trial_calls_property(case):
+    # A trial is settled by its own siblings and searches alone, so a block
+    # counts, and hashes, what its trials do one at a time.  Trial
+    # start + t has zero gains for t in `silent`.
     params, model, sigma, seed, start, count, silent = case
-    right = sim.gains_from_uniforms
+    right_gains, right_block, right_spines = (
+        sim.gains_from_uniforms, sim._count_block, sim.child_spines)
+    first, hashed = [], []
 
     def gains(model, u):
-        out = right(model, u)
-        out[..., [t for t in silent if t < out.shape[-1]]] = 0.0
+        out = right_gains(model, u)
+        offset = first[-1] - start
+        out[..., [t - offset for t in silent if 0 <= t - offset < out.shape[-1]]] = 0.0
         return out
 
-    counts = []
+    def count_block(params, model, sigma, seed, block_start, block_count):
+        first.append(block_start)
+        return right_block(params, model, sigma, seed, block_start, block_count)
+
+    def child_spines(*args):
+        out = right_spines(*args)
+        hashed.append(out.size)
+        return out
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "gains_from_uniforms", gains)
-        for share in (CERTIFY_ALWAYS, CERTIFY_NEVER):
-            patch.setattr(sim, "CERTIFY_SHARE", share)
-            counts.append(count_errors(params, model, sigma, seed, start, count))
-    assert counts[0] == counts[1]
+        patch.setattr(sim, "_count_block", count_block)
+        patch.setattr(sim, "child_spines", child_spines)
+        block = count_errors(params, model, sigma, seed, start, count)
+        block_hashed = sum(hashed)
+        hashed.clear()
+        alone = sum(count_errors(params, model, sigma, seed, t, 1)
+                    for t in range(start, start + count))
+    assert first[0] == start and len(first) == count + 1
+    assert (block, block_hashed) == (alone, sum(hashed))
 
 
-def test_forced_certificates_settle_trials_at_0db(monkeypatch):
-    # At 0 dB most trials are errors: with descents forced at every level,
-    # deepest first, greedy descents from the siblings certify some trials,
-    # which then never enter the thresholded search.
+def last_level_witness(params, model, sigma, seed, t):
+    """Whether trial t of `run_trial`'s route has a non-sent leaf within
+    the tie tolerance of the sent cost that differs only in its last
+    segment, costed by the flat `candidate_cost`."""
+    rand, code_seed = trial_stream(seed, t), codebook_seed(seed, t)
+    msg = random_message(params, int(rand.raw(1)[0]))
+    real = transmit(encode(msg, params, code_seed), model, sigma, rand)
+    sent = candidate_cost(msg, real, params, code_seed)
+    return any(candidate_cost(Message(value=msg.value ^ j, n=params.n), real, params,
+                              code_seed) <= sent + decoder.TIE_TOLERANCE
+               for j in range(1, 1 << params.k))
+
+
+def test_witnessed_trials_leave_the_search_at_0db(monkeypatch):
+    # At 0 dB most trials are errors.  A last-level sibling within the
+    # threshold settles its trial before any search; the other trials'
+    # surviving siblings are searched one level at a time, deepest first,
+    # and a trial with a witness leaf enters no shallower search.
     model = FadingModel.rayleigh(1.0)
     sigma = snr_to_sigma(0.0, model, PARAMS.c)
-    calls, rows = [], []
-    search, lookahead = sim.tree_search, sim.lookahead_thresholds
+    calls = []
+    search = sim.tree_search
 
     def recording(expand, width, received, gains, threshold, start=None, stop=None):
         out = search(expand, width, received, gains, threshold, start=start, stop=stop)
-        calls.append((threshold is None, start, out))
+        calls.append((threshold, start, out))
         return out
 
-    def recording_rows(*args):
-        rows.append(lookahead(*args))
-        return rows[-1]
-
     monkeypatch.setattr(sim, "tree_search", recording)
-    monkeypatch.setattr(sim, "lookahead_thresholds", recording_rows)
-    monkeypatch.setattr(sim, "CERTIFY_SHARE", CERTIFY_ALWAYS)
     errors = count_errors(PARAMS, model, sigma, 3, 0, 500)
-    (leaf_row,) = [r[-1] for r in rows]
-    greedy = [(start, out) for g, start, out in calls if g]
-    assert [start.level for start, _ in greedy] == [3, 2, 1]
-    settled = np.unique(np.concatenate(
-        [out.trial[out.cost <= leaf_row.take(out.trial)] for _, out in greedy]))
-    searched = np.concatenate([start.trial for g, start, _ in calls if not g])
-    assert 0 < settled.size <= errors and searched.size
-    assert not np.isin(settled, searched).any()
-    monkeypatch.setattr(sim, "CERTIFY_SHARE", CERTIFY_NEVER)
-    calls.clear()
-    assert count_errors(PARAMS, model, sigma, 3, 0, 500) == errors
-    assert calls and not any(g for g, _, _ in calls)
+    assert all(threshold is not None for threshold, _, _ in calls)
+    assert [start.level for _, start, _ in calls] == [3, 2, 1]
+    searched = np.concatenate([start.trial for _, start, _ in calls])
+    for (_, _, out), (_, later, _) in combinations(calls, 2):
+        assert not np.isin(out.trial, later.trial).any()
+    settled = [t for t in range(500) if last_level_witness(PARAMS, model, sigma, 3, t)]
+    assert settled and not np.isin(settled, searched).any()
+    assert errors == len(settled) + sum(np.unique(out.trial).size for _, _, out in calls)
 
 
 # `count_errors` of the paper code at seed 0, 2,048 trials, at
@@ -228,7 +250,7 @@ def recording_splits(monkeypatch):
 
 def leaf_row_below_every_cost(monkeypatch):
     """Lower the last threshold row of `count_errors` below every cost, so
-    nothing certifies and no leaf survives."""
+    no sibling settles a trial and no leaf survives."""
     right = sim.lookahead_thresholds
 
     def no_leaf(*args):
@@ -245,8 +267,8 @@ def leaf_row_below_every_cost(monkeypatch):
 @pytest.mark.parametrize("certify", [True, False])
 def test_zero_gain_peak_within_tree_bytes(monkeypatch, constant_gain, n, k, L,
                                           trials, certify):
-    # Zero gains prune nothing.  Every sibling then certifies its trial at
-    # once; with the leaf row lowered below every cost nothing certifies,
+    # Zero gains prune nothing.  A last-level sibling then settles its trial
+    # at once; with the leaf row lowered below every cost nothing settles,
     # and the search expands the whole tree but the sent path.  The budget
     # holds two frames' widest level, so eight such frames are searched in
     # parts, and the peak stays within it.
@@ -282,7 +304,7 @@ def test_paper_batch_is_searched_in_one_block(monkeypatch):
 
 @pytest.mark.parametrize("gain, snr_db", [(0.0, 10.0), (None, 0.0)])
 def test_split_blocks_match_scalar_loop(monkeypatch, constant_gain, gain, snr_db):
-    # n=12, 40 trials.  Zero gains certify every trial before any search,
+    # n=12, 40 trials.  Zero gains settle every trial before any search,
     # so there a budget of two trials' block arrays splits them into 20
     # blocks.  At 0 dB the open trials' search frontiers reach 138 prefixes
     # over 7 trials, and 55 for one, so a search budget of 80 parents
@@ -420,6 +442,13 @@ def test_estimate_fer_rejects_bad_workers_and_batch(monkeypatch):
     for kwargs in (dict(workers=0), dict(workers=sim.MAX_WORKERS + 1), dict(batch=0)):
         with pytest.raises(ConfigurationError):
             estimate_fer(SMALL, FadingModel.rayleigh(1.0), 1.0, 100, seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("seed, start, count", [
+    (0, -5, 10), (0, 0, 0), (0, 2 ** 64 - 1, 2), (-1, 0, 10), (2 ** 64, 0, 10)])
+def test_count_errors_rejects_bad_range_and_seed(seed, start, count):
+    with pytest.raises(ConfigurationError):
+        count_errors(SMALL, FadingModel.rayleigh(1.0), 1.0, seed, start, count)
 
 
 def test_estimate_fer_rejects_bad_early_stop_and_min_trials():
