@@ -34,21 +34,27 @@ from scipy.integrate import quad
 
 from .channel import NAKAGAMI, RAYLEIGH, FadingModel, pdf
 from .codec import CodeParams, ConfigurationError
+from .decoder import MEMORY_BUDGET, CapacityError
 from .mixing import CounterStream
 
 QUAD_ABS_TOL = 1e-10
 QUAD_LIMIT = 60
+# Trials whose noise `pairwise_error_mc` draws at a time.
+_MC_BLOCK = 100_000
 
 
 class ThetaGrid:
     """Uniform partition of [0, pi/2] into N cells: thetas[r] = r pi / (2N)
     and weights[r-1] = (theta_r - theta_{r-1}) / pi, so the weighted sum of
     a function's right-endpoint values over-estimates (1/pi) times its
-    integral when the function is increasing."""
+    integral when the function is increasing.  An N whose arrays (24 N bytes)
+    would pass MEMORY_BUDGET is a CapacityError, raised before any is made."""
 
     def __init__(self, N: int):
         if N < 1:
             raise ConfigurationError(f"theta grid needs N >= 1, got {N}")
+        if 24 * (N + 1) > MEMORY_BUDGET:
+            raise CapacityError(f"{N} theta cells pass the {MEMORY_BUDGET >> 20} MiB budget")
         self.thetas = np.linspace(0.0, math.pi / 2, N + 1)
         self.weights = np.diff(self.thetas) / math.pi
 
@@ -189,27 +195,10 @@ def kernel_grid_sum(model: FadingModel, n_sym, sigma, c: int, grid: ThetaGrid):
     return float(sums) if sums.ndim == 0 else sums
 
 
-def _pair_words(params: CodeParams) -> int:
-    """Words per theta node of each of the kernel's two work arrays, or of
-    its kernel rows (one per segment), whichever is wider."""
-    return max((1 << params.c) - 1, params.num_segments)
-
-
 def _points_per_chunk(params: CodeParams, N: int) -> int:
-    """SNR points one kernel call of `pe_bound` takes over an N-cell grid:
-    as many as fit _CHUNK words, and at least one."""
-    return max(1, _CHUNK // (N * _pair_words(params)))
-
-
-def pe_bound_bytes(params: CodeParams, N: int) -> int:
-    """Peak bytes of one `pe_bound` point over an N-cell grid, the grid
-    included, once that point fills a kernel call on its own: the two work
-    arrays, or the kernel rows and their weighted copy, beside a few theta-
-    and pair-sized arrays.  Measured by tracemalloc for c in 1..16, up to
-    256 segments and all three families, at N from 3,000 to 300,000:
-    1.00 to 1.34 times the peak.  A 61-point call whose points share kernel
-    calls peaked at 0.74 MiB (c in 1..10, N up to 300)."""
-    return 8 * (N * (2 * _pair_words(params) + 8) + 4 * ((1 << params.c) - 1))
+    """SNR points one kernel call of `pe_bound` takes over an N-cell grid: as
+    many as fit _CHUNK words per work array and per kernel-row array, and at least one."""
+    return max(1, _CHUNK // (N * max((1 << params.c) - 1, params.num_segments)))
 
 
 def tail_symbols(params: CodeParams, a):
@@ -230,25 +219,36 @@ def pe_bound(params: CodeParams, model: FadingModel, sigma,
     grid sum over its tail symbols, times the (2^k - 1) * 2^(n - a*k)
     candidates that agree on segments 1..a-1 and differ at a, clamped to 1.
     Every point's segments share one evaluation of its pair terms, and
-    the kernel takes the points `_points_per_chunk` at a time.
+    the kernel takes the points `_points_per_chunk` at a time.  Before the
+    first, it counts from their shapes the bytes it will hold; a count past
+    MEMORY_BUDGET is a CapacityError.
     """
     sigmas = np.asarray(sigma, dtype=np.float64)
     if sigmas.ndim > 1:
         raise ValueError(f"sigma must be a scalar or 1-D, got shape {sigmas.shape}")
     column = sigmas.reshape(-1, 1)
-    a = np.arange(1, params.num_segments + 1)
+    points, N = column.shape[0], grid.weights.size
+    pairs, rows = (1 << params.c) - 1, params.num_segments
+    per = _points_per_chunk(params, N)
+    # Per theta node of a chunk, its two work arrays (or its kernel rows and
+    # their weighted copy) and up to eight node-sized ones; numpy's buffers for
+    # two broadcast operands; pair-sized arrays; two (P, n/k) and four (P,) results.
+    need = 8 * (per * N * (2 * max(pairs, rows) + 8) + 2 * np.getbufsize() + 4 * pairs
+                + points * (2 * rows + 4))
+    if need > MEMORY_BUDGET:
+        raise CapacityError(f"a bound over {N} theta cells at c={params.c} needs "
+                            f"{need >> 20} MiB, over the {MEMORY_BUDGET >> 20} MiB budget")
+    a = np.arange(1, rows + 1)
     n_sym = tail_symbols(params, a)[:, None]
-    per = _points_per_chunk(params, grid.weights.size)
-    sums = np.empty((column.shape[0], a.size))
-    for i in range(0, column.shape[0], per):
-        sums[i:i + per] = kernel_grid_sum(model, n_sym, column[i:i + per],
-                                          params.c, grid)
+    sums = np.empty((points, rows))
+    for i in range(0, points, per):
+        sums[i:i + per] = kernel_grid_sum(model, n_sym, column[i:i + per], params.c, grid)
     # From n - a*k near 1024 on, the multiplicity overflows to inf; inf * sum
     # is inf, or nan where the sum underflowed to 0, and np.fmin clamps both
-    # to 1, which is still a valid bound.
+    # to 1, which is still a valid bound.  Both steps work in place.
     with np.errstate(over="ignore", invalid="ignore"):
-        mult = ((1 << params.k) - 1) * 2.0 ** (params.n - a * params.k)
-        eps = np.fmin(1.0, mult * sums)
+        sums *= ((1 << params.k) - 1) * 2.0 ** (params.n - a * params.k)
+        eps = np.fmin(1.0, sums, out=sums)
     pe = 1.0 - (1.0 - eps).prod(axis=-1)
     if sigmas.ndim == 0:
         return BoundResult(segment_bounds=eps[0], pe=float(pe[0]))
@@ -319,8 +319,7 @@ def fading_integral_oracle(model: FadingModel, u: float, sigma: float,
     return out[0] + tail[0]
 
 
-def pairwise_error_mc(v_vector, sigma: float, trials: int,
-                      rand: CounterStream, chunk: int = 100_000) -> float:
+def pairwise_error_mc(v_vector, sigma: float, trials: int, rand: CounterStream) -> float:
     """Monte Carlo frequency of v (v + 2N)^T <= 0 with N iid Gaussian(0, sigma^2).
 
     For v != 0 this equals Q(|v| / (2 sigma)); for v = 0 the event always
@@ -333,7 +332,7 @@ def pairwise_error_mc(v_vector, sigma: float, trials: int,
     hits = 0
     done = 0
     while done < trials:
-        block = min(chunk, trials - done)
+        block = min(_MC_BLOCK, trials - done)
         noise = sigma * rand.normals(block * v.size).reshape(block, v.size)
         hits += int(np.count_nonzero(vnorm2 + 2.0 * (noise @ v) <= 0.0))
         done += block

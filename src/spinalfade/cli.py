@@ -19,9 +19,9 @@ import sys
 import typing
 from dataclasses import asdict, dataclass, fields
 
-from .bounds import pe_bound, pe_bound_bytes, uniform_theta_grid
+from .bounds import pe_bound, uniform_theta_grid
 from .channel import FadingModel, snr_to_sigma
-from .codec import CodeParams, ConfigurationError
+from .codec import CodeParams, ConfigurationError, check_seed
 from .decoder import MEMORY_BUDGET, CapacityError
 from .sim import sweep
 from .verify import run_checks
@@ -144,8 +144,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigurationError(f"workers must be >= 1, got {merged['workers']}")
     if merged["trials"] < 1:
         raise ConfigurationError(f"trials must be >= 1, got {merged['trials']}")
-    if not 0 <= merged["seed"] < 1 << 64:
-        raise ConfigurationError(f"seed must be in 0..2^64-1, got {merged['seed']}")
+    check_seed(merged["seed"])
     if merged["theta_points"] < 1:
         raise ConfigurationError(
             f"theta-points must be >= 1, got {merged['theta_points']}")
@@ -194,31 +193,19 @@ def _emit(config: RunConfig, text: str) -> int:
     return 0
 
 
-def _code_model_grid(config: RunConfig):
-    """Code, fading model and theta grid; the grid only once the peak of a
-    `pe_bound` over it fits MEMORY_BUDGET."""
-    params, model = config.code_params(), config.fading_model()
-    need = pe_bound_bytes(params, config.theta_points)
-    if need > MEMORY_BUDGET:
-        raise CapacityError(f"theta-points {config.theta_points} at c={params.c} needs "
-                            f"{need >> 20} MiB, over the {MEMORY_BUDGET >> 20} MiB budget")
-    return params, model, uniform_theta_grid(config.theta_points)
-
-
 def cmd_bound(config: RunConfig) -> int:
-    params, model, grid = _code_model_grid(config)
+    params, model = config.code_params(), config.fading_model()
     snrs = config.snr_values()
     sigmas = [snr_to_sigma(snr_db, model, params.c) for snr_db in snrs]
-    bound = pe_bound(params, model, sigmas, grid)
+    bound = pe_bound(params, model, sigmas, uniform_theta_grid(config.theta_points))
     return _emit(config, _render(config, snrs, sigmas, bound.pe.tolist(),
                                  bound.segment_bounds.tolist()))
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    params, model, grid = _code_model_grid(config)
-    results = sweep(params, model, config.snr_values(), config.trials,
-                    config.seed, grid, workers=config.workers,
-                    early_stop_errors=config.early_stop,
+    results = sweep(config.code_params(), config.fading_model(), config.snr_values(),
+                    config.trials, config.seed, uniform_theta_grid(config.theta_points),
+                    workers=config.workers, early_stop_errors=config.early_stop,
                     min_trials=config.min_trials)
     return _emit(config, _render(
         config, [r.snr_db for r in results], [r.sigma for r in results],

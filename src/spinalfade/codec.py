@@ -31,6 +31,13 @@ class ConfigurationError(ValueError):
     """Invalid code or run configuration."""
 
 
+def check_seed(seed: int, index: int = 0) -> None:
+    """Refuse a seed, or a trial index, that is not one 64-bit word."""
+    for name, value in (("seed", seed), ("trial index", index)):
+        if not 0 <= value < 1 << 64:
+            raise ConfigurationError(f"{name} must be in 0..2^64-1, got {value}")
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """Spinal code configuration.
@@ -101,6 +108,7 @@ def encode(message: Message, params: CodeParams, seed: int = 0) -> np.ndarray:
         raise ConfigurationError(
             f"message has {message.n} bits, params expect n={params.n}"
         )
+    check_seed(seed)
     hash_key, rng_key = code_keys(seed)
     spines = [np.uint64(0)]
     for shift in range(params.n - params.k, -1, -params.k):
@@ -151,6 +159,7 @@ def codebook_levels(params: CodeParams, seed: int) -> list[np.ndarray]:
     the prefix in base 2^k, most significant segment first, so candidate m
     uses variant m >> (n - (a+1)k) at level a.
     """
+    check_seed(seed)
     hash_key, rng_key = code_keys(seed)
     segs = np.arange(1 << params.k, dtype=np.uint64)
     spines = np.zeros(1, dtype=np.uint64)

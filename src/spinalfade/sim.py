@@ -56,6 +56,7 @@ from .channel import (
 from .codec import (
     CodeParams,
     ConfigurationError,
+    check_seed,
     child_spines,
     code_keys,
     codebook_levels,  # noqa: F401  (looked up here by perfbench/tracing.py)
@@ -122,6 +123,7 @@ class SweepRow:
 
 def trial_stream(seed: int, index: int) -> CounterStream:
     """The random source owned by one trial of one run."""
+    check_seed(seed, index)
     key = absorb(absorb(SIM_DOMAIN, np.uint64(seed)), np.uint64(index))
     return CounterStream(int(key))
 
@@ -129,6 +131,7 @@ def trial_stream(seed: int, index: int) -> CounterStream:
 def codebook_seed(seed: int, index: int) -> int:
     """The code seed owned by one trial of one run (fresh hash key per
     trial, so trials average over the code ensemble)."""
+    check_seed(seed, index)
     return int(absorb(absorb(CODEBOOK_DOMAIN, np.uint64(seed)), np.uint64(index)))
 
 
@@ -175,8 +178,7 @@ def count_errors(params: CodeParams, model: FadingModel, sigma: float,
     if count < 1 or not 0 <= start <= (1 << 64) - count:
         raise ConfigurationError(f"trials [{start}, {start} + {count}) must be a "
                                  f"non-empty range in 0..2^64-1")
-    if not 0 <= seed < 1 << 64:
-        raise ConfigurationError(f"seed must be in 0..2^64-1, got {seed}")
+    check_seed(seed)
     rows, width = params.num_segments, 1 << params.k
     grid_size = rows * params.L
     draws = 1 + (3 if model.kind == RICIAN else 2) * grid_size
@@ -317,11 +319,13 @@ def sweep(params: CodeParams, model: FadingModel, snr_grid, trials: int,
     result is point i's `SweepRow.bound`.
 
     Each point re-keys its run seed from (seed, point index) so points are
-    statistically independent; rows come back in grid order.
+    statistically independent; rows come back in grid order.  A bad seed, or
+    a bound past MEMORY_BUDGET (from `pe_bound`), is refused before any trial.
     """
     snr_grid = list(snr_grid)
     if not snr_grid:
         raise ConfigurationError("SNR grid must be non-empty")
+    check_seed(seed)
     sigmas = [snr_to_sigma(snr_db, model, params.c) for snr_db in snr_grid]
     bounds = pe_bound(params, model, sigmas, grid)
     rows = []

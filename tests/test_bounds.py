@@ -12,6 +12,7 @@ from scipy.special import erfc
 
 from spinalfade import (
     BoundResult,
+    CapacityError,
     CodeParams,
     ConfigurationError,
     CounterStream,
@@ -61,6 +62,14 @@ def test_theta_grid_validation():
     for N in (0, -3):
         with pytest.raises(ConfigurationError):
             ThetaGrid(N)
+
+
+def test_theta_grid_over_budget_is_capacity_error(monkeypatch):
+    # about 24 N bytes: 0.92 MiB at N = 40,000, 2.3 MiB at N = 100,000
+    monkeypatch.setattr(bounds, "MEMORY_BUDGET", 1 << 20)
+    assert uniform_theta_grid(40_000).weights.size == 40_000
+    with pytest.raises(CapacityError):
+        uniform_theta_grid(100_000)
 
 
 # --- kernels: frozen values and identities ----------------------------------
@@ -272,6 +281,26 @@ def test_kernel_scale_overflow_anywhere_in_a_chunk(model):
         sigmas[at] = 1e200
         with pytest.raises(ConfigurationError, match="overflows"):
             pe_bound(params, model, sigmas, grid)
+
+
+def test_pe_bound_theta_grid_over_budget_is_capacity_error(monkeypatch):
+    # two work arrays of N x 255 pair terms: 0.78 MiB at N = 200, 3.9 MiB at 1,000
+    monkeypatch.setattr(bounds, "MEMORY_BUDGET", 1 << 20)
+    params, model = CodeParams(n=8, k=2, c=8, L=6), FadingModel.rayleigh(1.0)
+    pe_bound(params, model, 1.0, uniform_theta_grid(200))
+    with pytest.raises(CapacityError):
+        pe_bound(params, model, 1.0, uniform_theta_grid(1_000))
+
+
+def test_pe_bound_sigma_column_over_budget_is_capacity_error(monkeypatch):
+    # 1,100 segment bounds per point: the results of 10 points fit beside
+    # one point's 0.34 MiB of kernel rows, those of 100 points (1.7 MiB) do not
+    monkeypatch.setattr(bounds, "MEMORY_BUDGET", 1 << 20)
+    params, model = CodeParams(n=1100, k=1, c=8, L=1), FadingModel.rayleigh(1.0)
+    sigmas = np.linspace(0.5, 5.0, 100)
+    assert pe_bound(params, model, sigmas[:10], uniform_theta_grid(20)).pe.shape == (10,)
+    with pytest.raises(CapacityError):
+        pe_bound(params, model, sigmas, uniform_theta_grid(20))
 
 
 def test_pe_bound_sigma_shapes():

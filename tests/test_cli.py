@@ -11,12 +11,15 @@ import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinalfade import CapacityError, cli, decoder, pe_bound, sim, uniform_theta_grid, verify
+from spinalfade import (CapacityError, bounds, cli, decoder, pe_bound, sim,
+                        uniform_theta_grid, verify)
 from spinalfade.cli import main
 from spinalfade.decoder import MEMORY_BUDGET
 
@@ -292,17 +295,34 @@ def test_theta_grid_budget_counts_segment_rows(capsys):
 @pytest.mark.parametrize("family", [dict(model="rayleigh"),
                                     dict(model="nakagami", m=0.5),
                                     dict(model="rician", K=1.0)])
-def test_largest_accepted_theta_grid_peaks_under_budget(code, family):
+def test_largest_accepted_theta_grid_peaks_under_budget(monkeypatch, code, family):
     config = cli.RunConfig(**code, **family)
     params, model = config.code_params(), config.fading_model()
-    low, high = 1, 1 << 30                   # accepted, rejected
-    while high - low > 1:
-        mid = (low + high) // 2
+
+    class Accepted(Exception):
+        pass
+
+    def kernel(*args):
+        raise Accepted
+
+    def accepts(N):
+        # before its first kernel call pe_bound reads only the grid's size,
+        # so zero-stride stand-ins for its arrays make each probe free
+        grid = SimpleNamespace(thetas=np.broadcast_to(0.0, N + 1),
+                               weights=np.broadcast_to(0.0, N))
         try:
-            cli._code_model_grid(dataclasses.replace(config, theta_points=mid))
-            low = mid
+            pe_bound(params, model, 3.0, grid)
+        except Accepted:
+            return True
         except CapacityError:
-            high = mid
+            return False
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "kernel", kernel)
+        low, high = 1, 1 << 30               # accepted, rejected
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if accepts(mid) else (low, mid)
     tracemalloc.start()
     try:
         pe_bound(params, model, 3.0, uniform_theta_grid(low))

@@ -10,17 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinalfade import (
+    CandidateTable,
     CapacityError,
+    ChannelRealization,
     CodeParams,
     ConfigurationError,
+    CounterStream,
     FadingModel,
     FerEstimate,
     Message,
+    brute_force_decode,
     candidate_cost,
     codebook_seed,
     count_errors,
     encode,
     estimate_fer,
+    ml_decode,
     random_message,
     run_trial,
     snr_to_sigma,
@@ -30,7 +35,7 @@ from spinalfade import (
     uniform_theta_grid,
 )
 
-from spinalfade import decoder, sim
+from spinalfade import bounds, decoder, sim
 
 PARAMS = CodeParams(n=8, k=2, c=8, v=32, L=6)
 SMALL = CodeParams(n=4, k=2, c=4, v=32, L=2)
@@ -451,6 +456,32 @@ def test_count_errors_rejects_bad_range_and_seed(seed, start, count):
         count_errors(SMALL, FadingModel.rayleigh(1.0), 1.0, seed, start, count)
 
 
+FRAME = ChannelRealization(gains=np.ones((2, 2)), received=np.ones((2, 2)), sigma=1.0)
+SEEDED = {
+    "sweep": lambda s: sweep(SMALL, FadingModel.rayleigh(1.0), [0.0], 100, s,
+                             uniform_theta_grid(5)),
+    "trial_stream-seed": lambda s: trial_stream(s, 0),
+    "trial_stream-index": lambda s: trial_stream(0, s),
+    "codebook_seed-seed": lambda s: codebook_seed(s, 0),
+    "codebook_seed-index": lambda s: codebook_seed(0, s),
+    "encode": lambda s: encode(Message(value=1, n=SMALL.n), SMALL, s),
+    "CandidateTable": lambda s: CandidateTable(SMALL, s),
+    "ml_decode": lambda s: ml_decode(FRAME, SMALL, s),
+    "brute_force_decode": lambda s: brute_force_decode(FRAME, SMALL, s),
+    "candidate_cost": lambda s: candidate_cost(Message(value=1, n=SMALL.n), FRAME, SMALL, s),
+    "run_trial": lambda s: run_trial(SMALL, FadingModel.rayleigh(1.0), 1.0,
+                                     CounterStream(0), code_seed=s),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED.keys())
+def test_seed_outside_64_bits_is_configuration_error(call, seed):
+    # numpy's uint64 would raise a bare OverflowError instead
+    with pytest.raises(ConfigurationError, match="0..2"):
+        call(seed)
+
+
 def test_estimate_fer_rejects_bad_early_stop_and_min_trials():
     for kwargs in (dict(early_stop_errors=0), dict(early_stop_errors=-5),
                    dict(min_trials=-3)):
@@ -493,6 +524,17 @@ def test_sweep_fer_monotone_within_noise():
     for a, b in zip(rows, rows[1:]):
         spread = np.hypot(a.fer.stderr, b.fer.stderr)
         assert b.fer.fer <= a.fer.fer + 3 * spread
+
+
+def test_sweep_bound_over_budget_runs_no_trial(monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(sim, "count_errors", no_trials)
+    # two work arrays of 1,000 x 255 pair terms: 4 MiB
+    monkeypatch.setattr(bounds, "MEMORY_BUDGET", 1 << 20)
+    with pytest.raises(CapacityError):
+        sweep(PARAMS, FadingModel.rayleigh(1.0), [0.0, 10.0], 100, 0, uniform_theta_grid(1_000))
 
 
 def test_sweep_rejects_empty_grid():
