@@ -20,7 +20,9 @@ of arrays, checked once over all its rows.
 Numerical oracles live alongside the closed forms: adaptive quadrature of
 the defining fading integrals, a quadrature Q-function, and a Monte Carlo
 estimate of the pairwise error probability, so every closed form can be
-checked against an independent route.
+checked against an independent route.  The adaptive-quadrature oracle
+imports `scipy.integrate` on first use, so importing this module, and
+every `bound` or `simulate` run, leaves it unloaded.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .channel import NAKAGAMI, RAYLEIGH, FadingModel, pdf
 from .codec import CodeParams, ConfigurationError
@@ -296,6 +297,10 @@ def fading_integral_oracle(model: FadingModel, u: float, sigma: float,
                            theta: float) -> float:
     """Adaptive quadrature of the integral `exp_moment` solves in closed
     form; independent of the closed-form route."""
+    # Imported on first call: scipy.integrate takes about 0.2 s to import,
+    # and no bound or simulate run needs it.
+    from scipy.integrate import quad
+
     _check_theta(theta)
     z = u * u / (8.0 * sigma * sigma * math.sin(theta) ** 2)
 

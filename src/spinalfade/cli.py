@@ -79,7 +79,12 @@ class RunConfig:
         if self.snr_step <= 0:
             raise ConfigurationError(
                 f"snr step must be > 0, got {self.snr_step}")
-        most = MEMORY_BUDGET // (POINT_BYTES * (self.code_params().num_segments + 1))
+        segments = self.code_params().num_segments
+        point_bytes = POINT_BYTES * (segments + 1)
+        most = MEMORY_BUDGET // point_bytes
+        if most < 1:
+            raise CapacityError(f"one SNR point of {segments} segments needs {point_bytes} "
+                                f"bytes, over the {MEMORY_BUDGET >> 20} MiB budget")
         values = []
         snr = self.snr_start
         while snr <= self.snr_stop + 1e-9 or not values:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bounds import (
     exp_moment,
@@ -157,6 +156,10 @@ def check_grid_over_approximation(quick: bool = False, seed: int = 5) -> CheckRe
     Observed value is the largest excess of the integral over the grid
     sum, clipped at zero; any excess at all fails.
     """
+    # Imported on first call: scipy.integrate takes about 0.2 s to import,
+    # and no bound or simulate run needs it.
+    from scipy.integrate import quad
+
     grid = uniform_theta_grid(20)
     worst = 0.0
     for model, sigma, c, n_sym in _kernel_draws(np.random.default_rng(seed),
@@ -169,6 +172,10 @@ def check_grid_over_approximation(quick: bool = False, seed: int = 5) -> CheckRe
 
 def check_pdf_moments(quick: bool = False) -> CheckResult:
     """Densities integrate to one with second moment omega."""
+    # Imported on first call: scipy.integrate takes about 0.2 s to import,
+    # and no bound or simulate run needs it.
+    from scipy.integrate import quad
+
     worst = 0.0
     for model in (FadingModel.rayleigh(1.0), FadingModel.nakagami(2.0, 1.0),
                   FadingModel.rician(1.0, 1.0), FadingModel.rayleigh(2.5),

@@ -6,6 +6,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -374,6 +377,16 @@ def test_snr_grid_budget_counts_points_and_segments(monkeypatch):
         dataclasses.replace(config, k=1).snr_values()
 
 
+@pytest.mark.parametrize("command", ["bound", "simulate"])
+def test_one_snr_point_over_memory_budget_names_its_segments(capsys, command):
+    # 2,000,000 segment bounds of 512 bytes each: no point fits, so the
+    # refusal names the segments, not a grid of "over 0 points"
+    assert main([command, "--n", "2000000", "--k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "2000000" in err, err
+
+
 IN_RANGE = dict(
     model=st.sampled_from(["rayleigh", "nakagami", "rician"]),
     omega=st.sampled_from([1e-6, 1e6]) | st.floats(1e-6, 1e6),
@@ -475,6 +488,31 @@ def test_flags_leave_no_state_for_the_next_call(tmp_path):
     assert main([*args, "--out", str(second)]) == 0
     assert int(parse_csv(second.read_text())[0]["trials"]) == 3000
     assert cli.build_parser().parse_args(["verify"]).quick is False
+
+
+def test_run_paths_leave_quadrature_unloaded():
+    # `bound` and `simulate` never integrate numerically, so they must not
+    # pay for importing scipy.integrate; the quadrature oracle loads it on
+    # its first call.  A fresh interpreter, since this one has it loaded.
+    script = """
+import contextlib, io, math, sys
+import spinalfade.cli
+from spinalfade import bounds, channel
+with contextlib.redirect_stdout(io.StringIO()):
+    assert spinalfade.cli.main(["bound", "--snr-stop", "4"]) == 0
+    assert spinalfade.cli.main(["simulate", "--n", "4", "--k", "2", "--c", "4",
+                                "--L", "2", "--snr-stop", "4", "--trials", "50"]) == 0
+assert "scipy.integrate" not in sys.modules, "run paths loaded scipy.integrate"
+value = bounds.fading_integral_oracle(channel.FadingModel.rayleigh(), 1.0, 1.0, math.pi / 4)
+assert 0.0 < value < 1.0, value
+assert "scipy.integrate" in sys.modules
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_verify_quick_passes():
