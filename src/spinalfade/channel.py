@@ -14,6 +14,13 @@ the uncentered second moment of the raw constellation {0..2^c-1}.  The
 constellation is not zero-mean, so curves plotted against this axis can sit
 at a fixed horizontal offset from conventions that center or normalize the
 constellation.
+
+Importing this module does not load `scipy.special`, which takes about
+0.2 s: each of its functions is imported where it is called, so a `bound`
+run never loads it.  `ndtri` below loads it on its first call (Rician
+gains, the integer-m Nakagami start, `sim`'s noise); `gammaincinv` for
+other m and the density's `gammaln` and `i0e` are imported in their own
+branches.  Rayleigh gains need no scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, gammaincinv, i0e, ndtri
 
 from .codec import ConfigurationError
 from .mixing import CounterStream
@@ -88,6 +94,13 @@ class ChannelRealization:
             raise ConfigurationError(f"sigma must be > 0, got {self.sigma}")
         if np.any(self.gains < 0):
             raise ConfigurationError("gains must be nonnegative")
+
+
+def ndtri(p):
+    """Standard normal quantile, elementwise: scipy's `ndtri`, imported on
+    each call (after the first, a `sys.modules` lookup)."""
+    from scipy.special import ndtri
+    return ndtri(p)
 
 
 # Integer Nakagami m up to this value draws through `_gamma_quantile`;
@@ -200,6 +213,7 @@ def gains_from_uniforms(model: FadingModel, u: np.ndarray) -> np.ndarray:
         if float(m).is_integer() and 1 <= m <= _QUANTILE_MAX_M:
             x = _gamma_quantile(int(m), u)
         else:
+            from scipy.special import gammaincinv
             x = gammaincinv(m, u)
         return np.sqrt((model.omega / m) * x)
     K = model.K
@@ -231,12 +245,14 @@ def pdf(model: FadingModel, h) -> np.ndarray:
     if model.kind == RAYLEIGH:
         return 2.0 * h / omega * np.exp(-h * h / omega)
     if model.kind == NAKAGAMI:
+        from scipy.special import gammaln
         m = model.m
         log_coef = np.log(2.0) + m * np.log(m) - gammaln(m) - m * np.log(omega)
         hpos = np.where(h > 0, h, 1.0)
         logpdf = log_coef + (2.0 * m - 1.0) * np.log(hpos) - m * h * h / omega
         at_zero = np.exp(log_coef) if m == 0.5 else 0.0
         return np.where(h > 0, np.exp(logpdf), at_zero)
+    from scipy.special import i0e
     K = model.K
     bessel_arg = 2.0 * np.sqrt(K * (K + 1.0) / omega) * h
     # i0e(x) = exp(-x) I0(x); fold exp(+x) into the main exponent.

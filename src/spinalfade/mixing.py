@@ -4,13 +4,14 @@ Everything random in this package (hash chain, symbol generation, channel
 noise, Monte Carlo trials) is derived from one mixing primitive so that
 results are reproducible bit-for-bit across runs, platforms and worker
 counts.  The finalizer is the SplitMix64 mixer; counter streams follow the
-SplitMix64 sequence (state = key + t * golden gamma, then finalize).
+SplitMix64 sequence (state = key + t * golden gamma, then finalize).  Only
+`CounterStream.normals` needs `scipy.special`, and it imports `ndtri` on
+call, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -120,4 +121,5 @@ class CounterStream:
 
     def normals(self, count: int) -> np.ndarray:
         """Next `count` standard normals (inverse-CDF of uniforms)."""
+        from scipy.special import ndtri
         return ndtri(self.uniforms(count))

@@ -35,6 +35,11 @@ Re-keying the codebook per trial makes the estimator target the
 ensemble-average error probability, which is the quantity the analytical
 bounds control; a single fixed codebook has its own luck and can sit a
 few percent above or below the ensemble mean.
+
+Importing this module, as `cli` does for every command, does not load
+`scipy.special`: a block's noise goes through `channel.ndtri`, which
+loads it on the first block's draw, in whichever worker thread gets
+there first.
 """
 
 from __future__ import annotations
@@ -43,13 +48,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .bounds import BoundResult, ThetaGrid, pe_bound
 from .channel import (
     RICIAN,
     FadingModel,
     gains_from_uniforms,
+    ndtri,  # a module attribute: perfbench/tracing.py wraps `sim.ndtri`
     snr_to_sigma,
     transmit,
 )

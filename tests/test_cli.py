@@ -31,6 +31,13 @@ SIM_ARGS = ["--n", "4", "--k", "2", "--c", "4", "--L", "2",
             "--trials", "1000", "--seed", "3"]
 
 
+def fresh_env():
+    """Environment for a fresh interpreter that imports this tree's package."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(args):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -491,28 +498,59 @@ def test_flags_leave_no_state_for_the_next_call(tmp_path):
 
 
 def test_run_paths_leave_quadrature_unloaded():
-    # `bound` and `simulate` never integrate numerically, so they must not
-    # pay for importing scipy.integrate; the quadrature oracle loads it on
-    # its first call.  A fresh interpreter, since this one has it loaded.
+    # `bound` never draws a quantile or integrates numerically, so importing
+    # the package and running it must load no scipy module at all.
+    # `simulate` loads scipy.special at its first draw, and `channel.pdf` in
+    # its Nakagami and Rician branches, but neither loads scipy.integrate;
+    # the quadrature oracle loads that on its first call.  A fresh
+    # interpreter, since this one has scipy loaded.
     script = """
 import contextlib, io, math, sys
+import numpy as np
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 import spinalfade.cli
 from spinalfade import bounds, channel
+assert not scipy_loaded(), scipy_loaded()[:5]
 with contextlib.redirect_stdout(io.StringIO()):
     assert spinalfade.cli.main(["bound", "--snr-stop", "4"]) == 0
-    assert spinalfade.cli.main(["simulate", "--n", "4", "--k", "2", "--c", "4",
-                                "--L", "2", "--snr-stop", "4", "--trials", "50"]) == 0
+assert not scipy_loaded(), "bound loaded " + ", ".join(scipy_loaded()[:5])
+with contextlib.redirect_stdout(io.StringIO()):
+    assert spinalfade.cli.main(["simulate", "--model", "rician", "--K", "1",
+                                "--n", "4", "--k", "2", "--c", "4", "--L", "2",
+                                "--snr-stop", "4", "--trials", "50"]) == 0
+h = np.linspace(0.0, 3.0, 7)
+for model in (channel.FadingModel.nakagami(2.5), channel.FadingModel.rician(1.0)):
+    density = channel.pdf(model, h)
+    assert np.all(np.isfinite(density)) and np.all(density[1:] > 0), density
+assert "scipy.special" in sys.modules
 assert "scipy.integrate" not in sys.modules, "run paths loaded scipy.integrate"
 value = bounds.fading_integral_oracle(channel.FadingModel.rayleigh(), 1.0, 1.0, math.pi / 4)
 assert 0.0 < value < 1.0, value
 assert "scipy.integrate" in sys.modules
 """
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_first_scipy_load_in_worker_threads():
+    # The first draw of a fresh interpreter's `simulate` imports
+    # scipy.special inside the worker threads, both at once here; the
+    # counts must not depend on which thread imports it.
+    args = ["simulate", "--model", "rician", "--K", "1", *SIM_ARGS]
+    script = """
+import sys
+import spinalfade.cli
+assert "scipy.special" not in sys.modules
+sys.exit(spinalfade.cli.main(sys.argv[1:]))
+"""
+    done = subprocess.run([sys.executable, "-c", script, *args, "--workers", "2"],
+                          env=fresh_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, out = run_cli([*args, "--workers", "1"])
+    assert code == 0
+    assert done.stdout == out
 
 
 def test_verify_quick_passes():

@@ -307,6 +307,27 @@ def test_paper_batch_is_searched_in_one_block(monkeypatch):
     assert blocks == [sim.DEFAULT_BATCH, 1]
 
 
+def test_block_noise_goes_through_sim_ndtri(monkeypatch):
+    # `sim.ndtri` is the one noise draw of a block, shaped (n/k * L, trials);
+    # tracing wraps it as a module attribute.  Rician gains draw their
+    # normals through `channel.ndtri` instead, so only noise is counted.
+    model = FadingModel.rician(1.0, 1.0)
+    sigma = snr_to_sigma(4.0, model, PARAMS.c)
+    right = count_errors(PARAMS, model, sigma, 7, 0, 250)
+    shapes = []
+    quantile = sim.ndtri
+
+    def counting(u):
+        shapes.append(u.shape)
+        return quantile(u)
+
+    monkeypatch.setattr(sim, "ndtri", counting)
+    monkeypatch.setattr(sim, "DEFAULT_BATCH", 100)
+    assert count_errors(PARAMS, model, sigma, 7, 0, 250) == right
+    rows = PARAMS.num_segments * PARAMS.L
+    assert shapes == [(rows, 100), (rows, 100), (rows, 50)]
+
+
 @pytest.mark.parametrize("gain, snr_db", [(0.0, 10.0), (None, 0.0)])
 def test_split_blocks_match_scalar_loop(monkeypatch, constant_gain, gain, snr_db):
     # n=12, 40 trials.  Zero gains settle every trial before any search,
