@@ -17,7 +17,7 @@ constellation.
 
 Importing this module does not load `scipy.special`, which takes about
 0.2 s: each of its functions is imported where it is called, so a `bound`
-run never loads it.  `ndtri` below loads it on its first call (Rician
+run never loads it.  `mixing.ndtri` loads it on its first call (Rician
 gains, the integer-m Nakagami start, `sim`'s noise); `gammaincinv` for
 other m and the density's `gammaln` and `i0e` are imported in their own
 branches.  Rayleigh gains need no scipy.
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import ConfigurationError
-from .mixing import CounterStream
+from .mixing import CounterStream, ndtri
 
 RAYLEIGH = "rayleigh"
 NAKAGAMI = "nakagami"
@@ -40,7 +40,8 @@ RICIAN = "rician"
 
 @dataclass(frozen=True)
 class FadingModel:
-    """Tagged fading description: Rayleigh, Nakagami-m, or Rician."""
+    """Tagged fading description: Rayleigh, Nakagami-m, or Rician; every
+    parameter finite."""
 
     kind: str
     omega: float = 1.0
@@ -50,16 +51,16 @@ class FadingModel:
     def __post_init__(self):
         if self.kind not in (RAYLEIGH, NAKAGAMI, RICIAN):
             raise ConfigurationError(f"unknown fading kind {self.kind!r}")
-        if not self.omega > 0:
-            raise ConfigurationError(f"omega must be > 0, got {self.omega}")
+        if not 0 < self.omega < math.inf:
+            raise ConfigurationError(f"omega must be finite, > 0, got {self.omega}")
         if self.kind == NAKAGAMI:
-            if self.m is None or not self.m >= 0.5:
-                raise ConfigurationError(f"Nakagami m must be >= 0.5, got {self.m}")
+            if self.m is None or not 0.5 <= self.m < math.inf:
+                raise ConfigurationError(f"Nakagami m must be finite, >= 0.5, got {self.m}")
             if self.K is not None:
                 raise ConfigurationError("K is a Rician parameter")
         elif self.kind == RICIAN:
-            if self.K is None or not self.K >= 0:
-                raise ConfigurationError(f"Rician K must be >= 0, got {self.K}")
+            if self.K is None or not 0 <= self.K < math.inf:
+                raise ConfigurationError(f"Rician K must be finite, >= 0, got {self.K}")
             if self.m is not None:
                 raise ConfigurationError("m is a Nakagami parameter")
         else:
@@ -81,7 +82,8 @@ class FadingModel:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Per-symbol gains, received values, and the noise level of one frame."""
+    """Per-symbol gains, received values, and the noise level of one frame;
+    gains and received values finite, gains non-negative."""
 
     gains: np.ndarray
     received: np.ndarray
@@ -92,15 +94,10 @@ class ChannelRealization:
             raise ConfigurationError("gains and received grids must share a shape")
         if not self.sigma > 0:
             raise ConfigurationError(f"sigma must be > 0, got {self.sigma}")
+        if not (np.isfinite(self.gains).all() and np.isfinite(self.received).all()):
+            raise ConfigurationError("gains and received values must be finite")
         if np.any(self.gains < 0):
             raise ConfigurationError("gains must be nonnegative")
-
-
-def ndtri(p):
-    """Standard normal quantile, elementwise: scipy's `ndtri`, imported on
-    each call (after the first, a `sys.modules` lookup)."""
-    from scipy.special import ndtri
-    return ndtri(p)
 
 
 # Integer Nakagami m up to this value draws through `_gamma_quantile`;

@@ -11,10 +11,9 @@ MEMORY_BUDGET is searched a part of the frames at a time.
 The search's arrays are pass-major: received values and gains come as
 (n/k, L, frames), a level's children as (2^k, N) and their symbols as
 (L, 2^k, N), so every elementwise step runs along the long node axis.
-A child's row cost is squared in place and summed over the leading pass
-axis, which adds the L passes left to right.  Up to L = 7 that is what
-numpy's sum over a trailing pass axis does too; from L = 8 that sum goes
-pairwise, so there costs may differ from it by a few ulps.
+Every row cost, the search's, the Monte Carlo ladder's and the lookahead
+bound's, comes from one step, `squared_distance`, so they agree bit for
+bit.
 
 `brute_force_decode` is the independent oracle: a flat loop over all
 candidates that re-encodes each one from scratch and shares none of the
@@ -73,13 +72,27 @@ class Frontier(NamedTuple):
     cost: np.ndarray
 
 
+def squared_distance(x: np.ndarray, gains, received, axis: int = 0,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Sum over `axis` of (received - gains·x)², overwriting the symbols
+    `x` with the squares; `gains` and `received` broadcast against `x`.
+
+    numpy adds a leading axis left to right while other columns remain
+    (over a single column it sums pairwise from 8 terms on).  So with a
+    node's 2^k >= 2 children as columns, a child's L passes add left to
+    right for every caller, even for one node.
+    """
+    x *= gains
+    np.subtract(received, x, out=x)
+    x *= x
+    return x.sum(axis=axis, out=out)
+
+
 def tree_search(expand, width: int, received: np.ndarray, gains: np.ndarray,
-                threshold: np.ndarray | None, start: Frontier | None = None,
-                stop: int | None = None) -> Frontier:
+                threshold: np.ndarray | None, start: Frontier | None = None) -> Frontier:
     """Expand the frontier `start` (the root of every frame when None) level
-    by level up to level `stop` (the leaves when None) and return the
-    frontier reached there: with the defaults, every leaf whose cost is at
-    most its frame's threshold.
+    by level to the leaves and return them: from the root, every leaf whose
+    cost is at most its frame's threshold.
 
     `received` and `gains` have shape (n/k, L, B), `threshold` (n/k, B):
     a level-a prefix survives while its partial cost is at most
@@ -87,9 +100,8 @@ def tree_search(expand, width: int, received: np.ndarray, gains: np.ndarray,
     `expand(a, trial, nodes)` returns the states (width, N) and symbol
     rows (L, width, N) of the level-a children of N nodes (frames `trial`,
     states `nodes`), `width` being 2^k, as fresh arrays: the search
-    overwrites the symbols with their squared distances.  Each child's row
-    cost is the sum of those over the leading pass axis, added left to
-    right, and costs add rows root to leaf.  With `threshold` None it
+    overwrites the symbols in `squared_distance`, which gives each child's
+    row cost, and costs add rows root to leaf.  With `threshold` None it
     keeps the cheapest child of each node instead: a greedy descent to one
     leaf per start prefix, returned in the start order (from the root, one
     leaf per frame in trial order).  Otherwise each level's survivors are
@@ -97,13 +109,14 @@ def tree_search(expand, width: int, received: np.ndarray, gains: np.ndarray,
     the root the leaves come sorted by their segments read last to first,
     then by trial, unless the search is split (below).
 
-    A search resumed from its own level-a frontier (`stop=a`, then
-    `start=` that frontier) returns the same leaves, bit for bit, as one
-    that runs through, and a search started from a subset of a frontier,
-    or from any prefixes costed as it would cost them, returns exactly
-    the leaves below them: each level only adds to its parents' costs.
-    So a thresholded search from one level's siblings of a sent path is
-    this one loop too.
+    A search over the first a rows (and threshold rows) stops at the
+    level-a frontier of one over them all, and resumed from there
+    (`start=`) it returns the same leaves, bit for bit, as one that runs
+    through.  A search started from a subset of a frontier, or from any
+    prefixes costed as it would cost them, returns exactly the leaves
+    below them: each level only adds to its parents' costs.  So a
+    thresholded search from one level's siblings of a sent path is this
+    one loop too.
 
     Before each level the search counts, in plain ints, its peak bytes:
     per parent, `width` children of 2L + 9 words and 3L + 6 words of its
@@ -126,16 +139,15 @@ def tree_search(expand, width: int, received: np.ndarray, gains: np.ndarray,
         count = received.shape[2]
         start = Frontier(0, np.arange(count), np.zeros(count, dtype=np.uint64),
                          np.zeros(count, dtype=np.int64), np.zeros(count))
-    stop = len(received) if stop is None else stop
-    L = received.shape[1]
+    rows, L = received.shape[:2]
     parent_bytes = 8 * (width * (2 * L + 9) + 3 * L + 6)
     todo, done = [start], []
     while todo:
         part = todo.pop()
         held = 32 * sum(len(f.trial) for f in todo + done)
-        part = _descend(expand, width, received, gains, threshold, part, stop,
+        part = _descend(expand, width, received, gains, threshold, part, rows,
                         (MEMORY_BUDGET - held) // parent_bytes)
-        if part.level == stop:
+        if part.level == rows:
             done.append(part)
             continue
         frames = np.unique(part.trial)
@@ -148,7 +160,7 @@ def tree_search(expand, width: int, received: np.ndarray, gains: np.ndarray,
                  for side in (high, ~high)]
     if len(done) == 1:
         return done[0]
-    return Frontier(stop, *map(np.concatenate, zip(*(f[1:] for f in done))))
+    return Frontier(rows, *map(np.concatenate, zip(*(f[1:] for f in done))))
 
 
 def _descend(expand, width, received, gains, threshold, start, stop, most):
@@ -158,13 +170,8 @@ def _descend(expand, width, received, gains, threshold, start, stop, most):
         if len(trial) > most:
             return Frontier(a, trial, node, value, cost)
         children, x = expand(a, trial, node)
-        x *= gains[a].take(trial, axis=1)[:, None]
-        np.subtract(received[a].take(trial, axis=1)[:, None], x, out=x)
-        x *= x
-        # numpy sums a leading axis left to right while other columns remain
-        # (here 2^k·N ≥ 2; over a single column it would sum pairwise).
-        # `sim` adds the sent path's passes in the same order.
-        child_cost = x.sum(axis=0)
+        child_cost = squared_distance(x, gains[a].take(trial, axis=1)[:, None],
+                                      received[a].take(trial, axis=1)[:, None])
         child_cost += cost
         if threshold is None:
             seg, parent = child_cost.argmin(axis=0), np.arange(len(trial))
@@ -200,15 +207,9 @@ def lookahead_thresholds(received: np.ndarray, gains: np.ndarray, top: int,
     np.rint(x, out=x)
     np.clip(x, 0, top, out=x)
     x[np.isnan(x)] = 0.0
-    x *= gains
-    np.subtract(received, x, out=x)
-    x *= x
-    row_min = x.sum(axis=1)
+    row_min = squared_distance(x, gains, received, axis=1)
     tail = np.cumsum(row_min[:0:-1], axis=0)[::-1]
-    out = np.empty_like(row_min)
-    out[:-1] = threshold * (1 + 1e-12) - tail * (1 - 1e-9)
-    out[-1] = threshold
-    return out
+    return np.vstack([threshold * (1 + 1e-12) - tail * (1 - 1e-9), threshold])
 
 
 class CandidateTable:
@@ -244,8 +245,12 @@ class CandidateTable:
         `received` and `gains` have shape (B, n/k, L); returns (B, 2^n).
         The search radius, a greedy descent's leaf cost plus TIE_TOLERANCE,
         keeps every candidate within TIE_TOLERANCE of the minimum exactly;
-        the others read +inf.
+        the others read +inf.  An output past MEMORY_BUDGET is refused
+        (CapacityError) before any search.
         """
+        if 8 * len(received) << self.params.n > MEMORY_BUDGET:
+            raise CapacityError(f"the costs of {len(received)} frames would pass the "
+                                f"{MEMORY_BUDGET >> 20} MiB budget")
         received = received.transpose(1, 2, 0)     # pass-major views
         gains = gains.transpose(1, 2, 0)
         greedy = tree_search(self._expand, len(self._segs), received, gains, None).cost

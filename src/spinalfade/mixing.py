@@ -5,8 +5,8 @@ noise, Monte Carlo trials) is derived from one mixing primitive so that
 results are reproducible bit-for-bit across runs, platforms and worker
 counts.  The finalizer is the SplitMix64 mixer; counter streams follow the
 SplitMix64 sequence (state = key + t * golden gamma, then finalize).  Only
-`CounterStream.normals` needs `scipy.special`, and it imports `ndtri` on
-call, so importing this module loads numpy alone.
+`ndtri`, the package's one normal quantile, needs `scipy.special`, and it
+imports it on call, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -75,6 +75,13 @@ def mix64(x) -> np.ndarray:
     return z
 
 
+def ndtri(p):
+    """Standard normal quantile, elementwise: scipy's `ndtri`, imported on
+    each call (after the first, a `sys.modules` lookup)."""
+    from scipy.special import ndtri
+    return ndtri(p)
+
+
 def absorb(state, word) -> np.ndarray:
     """Fold one word into a hash state (order-sensitive chaining)."""
     return mix64(np.asarray(state, dtype=np.uint64) ^ np.asarray(word, dtype=np.uint64))
@@ -121,5 +128,4 @@ class CounterStream:
 
     def normals(self, count: int) -> np.ndarray:
         """Next `count` standard normals (inverse-CDF of uniforms)."""
-        from scipy.special import ndtri
         return ndtri(self.uniforms(count))

@@ -26,10 +26,11 @@ of its tree at 0 dB, 43 at 2 dB, 41 at 4 dB, 36 at 6 dB, 30 at 8 dB, 24
 at 10 dB and 16 to 17 from 16 dB on.
 
 A block lays out its gains, noise and received values pass-major, as
-(n/k, L, trials), the layout `tree_search` takes.  The ladder's row costs
-add each row's passes left to right, as the search adds a child's, and
-C_s and the siblings' costs add rows root to leaf, so each agrees bit for
-bit with the cost the search gives that prefix.
+(n/k, L, trials), the layout `tree_search` takes.  The ladder hashes
+through the search's expander and costs rows with its step,
+`decoder.squared_distance`, and C_s and the siblings' costs add rows root
+to leaf, so each agrees bit for bit with the cost the search gives that
+prefix.
 
 Re-keying the codebook per trial makes the estimator target the
 ensemble-average error probability, which is the quantity the analytical
@@ -37,7 +38,7 @@ bounds control; a single fixed codebook has its own luck and can sit a
 few percent above or below the ensemble mean.
 
 Importing this module, as `cli` does for every command, does not load
-`scipy.special`: a block's noise goes through `channel.ndtri`, which
+`scipy.special`: a block's noise goes through `mixing.ndtri`, which
 loads it on the first block's draw, in whichever worker thread gets
 there first.
 """
@@ -54,7 +55,6 @@ from .channel import (
     RICIAN,
     FadingModel,
     gains_from_uniforms,
-    ndtri,  # a module attribute: perfbench/tracing.py wraps `sim.ndtri`
     snr_to_sigma,
     transmit,
 )
@@ -76,6 +76,7 @@ from .decoder import (
     Frontier,
     lookahead_thresholds,
     ml_decode,
+    squared_distance,
     tree_search,
 )
 from .mixing import (
@@ -84,6 +85,7 @@ from .mixing import (
     SWEEP_DOMAIN,
     CounterStream,
     absorb,
+    ndtri,  # a module attribute: perfbench/tracing.py wraps `sim.ndtri`
     stream_at,
     uniforms_from_raw,
 )
@@ -220,31 +222,30 @@ def _count_block(params: CodeParams, model: FadingModel, sigma: float,
     gains = gains_from_uniforms(model, gain_u).reshape(rows, L, count)
     noise = sigma * ndtri(u[1 + draws:]).reshape(rows, L, count)
 
-    # The ladder: the 2^k children of every sent prefix, hashed level by
-    # level down the sent path.  A child's row cost is what `tree_search`
-    # gives it, the passes added left to right over the leading axis (the
-    # 2^k >= 2 columns keep numpy from summing pairwise, even for one
-    # trial); the sent entries give the received frame and the sent row
-    # costs, and C_s adds those root to leaf, as the search adds the sent
-    # leaf's.
+    segs = np.arange(1 << params.k, dtype=np.uint64)[:, None]
+
+    def expand(a, trial, spines):
+        children = child_spines(hash_keys[trial], spines, segs, params)
+        return children, symbol_rows(rng_keys[trial], children, params)
+
+    # The ladder: the 2^k children of every sent prefix, hashed and costed
+    # level by level down the sent path as the search would (every trial
+    # at once: `...` takes the keys without a copy).  The sent entries give
+    # the received frame and the sent row costs, and C_s adds those root
+    # to leaf, as the search adds the sent leaf's.
     shifts = np.arange(params.n - params.k, -1, -params.k, dtype=np.uint64)
     prefixes = (words >> shifts[:, None]).astype(np.int64)
     sent_seg = prefixes & ((1 << params.k) - 1)
-    segs = np.arange(1 << params.k, dtype=np.uint64)[:, None]
     ladder = np.empty((rows, len(segs), count), dtype=np.uint64)
     cost = np.empty((rows, len(segs), count))
     received = np.empty((rows, L, count))
     spine = np.uint64(0)
     for a in range(rows):
-        ladder[a] = child_spines(hash_keys, spine, segs, params)
+        ladder[a], x = expand(a, ..., spine)
         spine = np.take_along_axis(ladder[a], sent_seg[a][None], axis=0)[0]
-        x = symbol_rows(rng_keys, ladder[a], params)
         sent = np.take_along_axis(x, sent_seg[a][None, None], axis=1)[:, 0]
         np.add(gains[a] * sent, noise[a], out=received[a])
-        x *= gains[a][:, None]
-        np.subtract(received[a][:, None], x, out=x)
-        x *= x
-        x.sum(axis=0, out=cost[a])
+        squared_distance(x, gains[a][:, None], received[a][:, None], out=cost[a])
     sent_cost = np.take_along_axis(cost, sent_seg[:, None], axis=1)[:, 0].cumsum(axis=0)
     cost[1:] += sent_cost[:-1, None]
     thresholds = lookahead_thresholds(received, gains, params.symbol_mask,
@@ -256,11 +257,6 @@ def _count_block(params: CodeParams, model: FadingModel, sigma: float,
     survive = cost <= thresholds[:, None]
     np.put_along_axis(survive, sent_seg[:, None], False, axis=1)
     error = survive[-1].any(axis=0)
-
-    def expand(a, trial, spines):
-        children = child_spines(hash_keys[trial], spines, segs, params)
-        return children, symbol_rows(rng_keys[trial], children, params)
-
     for a in range(rows - 2, -1, -1):
         seg, trial = np.nonzero(survive[a] & ~error)
         if trial.size:

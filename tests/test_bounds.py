@@ -328,9 +328,9 @@ SHAPE = {"nakagami": "m", "rician": "K"}
 IN_RANGE = dict(omega=st.sampled_from([1e-6, 1e6]) | st.floats(1e-6, 1e6),
                 m=st.sampled_from([0.5, 8.0]) | st.floats(0.5, 8.0),
                 K=st.sampled_from([0.0, 8.0]) | st.floats(0.0, 8.0))
-OUT_OF_RANGE = dict(omega=st.floats(max_value=0.0) | st.just(math.nan),
-                    m=st.floats(max_value=0.4999) | st.just(math.nan),
-                    K=st.floats(max_value=-1e-9) | st.just(math.nan))
+OUT_OF_RANGE = dict(omega=st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]),
+                    m=st.floats(max_value=0.4999) | st.sampled_from([math.nan, math.inf]),
+                    K=st.floats(max_value=-1e-9) | st.sampled_from([math.nan, math.inf]))
 
 
 @settings(max_examples=200, deadline=None)

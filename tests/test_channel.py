@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincinv
 
 from spinalfade import (
+    ChannelRealization,
     CodeParams,
     ConfigurationError,
     CounterStream,
@@ -175,6 +176,17 @@ def test_transmit_reproducible():
 def test_transmit_rejects_bad_sigma():
     with pytest.raises(ConfigurationError):
         transmit(np.zeros((2, 2)), FadingModel.rayleigh(1.0), 0.0, CounterStream(9))
+
+
+@pytest.mark.parametrize("field", ["gains", "received"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_realization_rejects_non_finite_values(field, value):
+    # one NaN received value would leave ml_decode at min_cost = inf with a
+    # tie that brute_force_decode does not see
+    arrays = {"gains": np.ones((2, 3)), "received": np.ones((2, 3))}
+    arrays[field][1, 2] = value
+    with pytest.raises(ConfigurationError, match="finite"):
+        ChannelRealization(sigma=1.0, **arrays)
 
 
 def test_symbol_energy_values():

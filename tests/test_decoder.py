@@ -178,6 +178,33 @@ def test_ml_decode_over_memory_budget_raises_quickly():
     assert time.perf_counter() - start < 1.0
 
 
+def test_costs_output_over_memory_budget_is_refused(monkeypatch):
+    # the (B, 2^n) cost array is counted before any search: a budget of two
+    # frames' costs refuses three frames, and one frame still decodes
+    params = CodeParams(n=12, k=2, c=8, L=2)
+    table = CandidateTable(params)
+    reals = [make_realization(params, value, 0.1, key)
+             for value, key in ((5, 1), (600, 2), (4000, 3))]
+    received = np.stack([r.received for r in reals])
+    gains = np.stack([r.gains for r in reals])
+    monkeypatch.setattr(decoder, "MEMORY_BUDGET", 2 * 8 << params.n)
+    search = decoder.tree_search
+    searches = []
+
+    def recording(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(decoder, "tree_search", recording)
+    with pytest.raises(CapacityError, match="costs of 3 frames"):
+        table.costs(received, gains)
+    assert not searches
+    assert table.costs(received[:2], gains[:2]).shape == (2, 1 << params.n)
+    result = ml_decode(reals[2], params, table=table)
+    assert result == brute_force_decode(reals[2], params)
+    assert result.decoded.value == 4000
+
+
 def test_ml_decode_rejects_table_of_other_code():
     params = CodeParams(n=8, k=2, c=8, L=6)
     real = make_realization(params, 77, 30.0, 1)
@@ -386,7 +413,8 @@ def test_resumed_search_matches_uninterrupted_property(case, data):
                                       threshold)
     whole = tree_search(expand, width, received, gains, thresholds)
     level = data.draw(st.integers(0, params.num_segments))
-    part = tree_search(expand, width, received, gains, thresholds, stop=level)
+    part = tree_search(expand, width, received[:level], gains[:level],
+                       thresholds[:level])
     assert part.level == level
     assert_same_frontier(whole, tree_search(expand, width, received, gains,
                                             thresholds, start=part))
@@ -407,7 +435,7 @@ def test_greedy_descent_from_root_gives_one_leaf_per_frame():
                                real, params)
         assert math.isclose(leaf.cost[t], exact, rel_tol=1e-12)
     # resumed from its own level-2 prefixes, the descent ends in the same leaves
-    half = tree_search(table._expand, 4, received, gains, None, stop=2)
+    half = tree_search(table._expand, 4, received[:2], gains[:2], None)
     assert_same_frontier(leaf, tree_search(table._expand, 4, received, gains, None,
                                            start=half))
     # and from a reordered subset of them, in the order given
@@ -423,17 +451,21 @@ def test_search_loop_operations_per_level():
     # CandidateTable.costs runs this loop once per level for each of its two
     # searches, so resuming, stopping and splitting a search are set up
     # outside it: these are the numpy calls, operators and subscripts of one
-    # level.  The budget check comes first and is plain int arithmetic, one
-    # len() and one comparison; the Frontier it builds is made only when the
-    # search is about to be split.
-    source = textwrap.dedent(inspect.getsource(decoder._descend))
-    loop = next(node for node in ast.walk(ast.parse(source))
+    # level, the squared-distance step it calls included.  The budget check
+    # comes first and is plain int arithmetic, one len() and one
+    # comparison; the Frontier it builds is made only when the search is
+    # about to be split.
+    def tree(function):
+        return ast.parse(textwrap.dedent(inspect.getsource(function)))
+
+    loop = next(node for node in ast.walk(tree(decoder._descend))
                 if isinstance(node, ast.For))
-    ops = Counter(type(node).__name__ for stmt in loop.body
+    step = tree(decoder.squared_distance).body[0].body[1:]  # past the docstring
+    ops = Counter(type(node).__name__ for stmt in loop.body + step
                   for node in ast.walk(stmt)
                   if isinstance(node, (ast.Call, ast.BinOp, ast.AugAssign,
                                        ast.Compare, ast.Subscript)))
-    assert ops == {"Call": 12, "Subscript": 9, "AugAssign": 3, "Compare": 3,
+    assert ops == {"Call": 13, "Subscript": 9, "AugAssign": 3, "Compare": 3,
                    "BinOp": 2}
     check = loop.body[0]
     assert ast.unparse(check.test) == "len(trial) > most"

@@ -196,8 +196,8 @@ def test_witnessed_trials_leave_the_search_at_0db(monkeypatch):
     calls = []
     search = sim.tree_search
 
-    def recording(expand, width, received, gains, threshold, start=None, stop=None):
-        out = search(expand, width, received, gains, threshold, start=start, stop=stop)
+    def recording(expand, width, received, gains, threshold, start=None):
+        out = search(expand, width, received, gains, threshold, start=start)
         calls.append((threshold, start, out))
         return out
 
